@@ -115,15 +115,6 @@ def cmd_tag(args) -> int:
     return 0
 
 
-def _featurize_chunk(chunk_args):
-    threads, config, vocabulary, lexicon, tag_imports, unigram_mode = chunk_args
-    return vectorize(
-        threads, config,
-        vocabulary=vocabulary, lexicon=lexicon,
-        tag_imports=tag_imports, unigram_mode=unigram_mode,
-    )
-
-
 def _format_feature_record(course_id, thread_id, label, vec: FeatureVector) -> str:
     cells = [course_id, thread_id, "intervened" if label else "not_intervened"]
     cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
@@ -139,25 +130,11 @@ def cmd_featurize(args) -> int:
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
     vocabulary = build_vocabulary(threads) if config in ("edm15", "eplusp") else None
-    jobs = args.jobs or 1
-    if jobs > 1:
-        chunks = [threads[i::jobs] for i in range(jobs)]
-        order = [i for j in range(jobs) for i in range(j, len(threads), jobs)]
-        results = evaluation._pmap(
-            _featurize_chunk,
-            [(c, config, vocabulary, lexicon, imports, unigram_mode) for c in chunks],
-            jobs,
-        )
-        flat = [pair for chunk in results for pair in chunk]
-        data = [None] * len(threads)
-        for pos, pair in zip(order, flat):
-            data[pos] = pair
-    else:
-        data = vectorize(
-            threads, config,
-            vocabulary=vocabulary, lexicon=lexicon,
-            tag_imports=imports, unigram_mode=unigram_mode,
-        )
+    data = vectorize(
+        threads, config,
+        vocabulary=vocabulary, lexicon=lexicon,
+        tag_imports=imports, unigram_mode=unigram_mode,
+    )
     space = data[0][0].space if data else features.build_space(config, vocabulary)
     lines = ["#space\t" + "\t".join((config,) + space.names)]
     for thread, (vec, label) in zip(threads, data):
@@ -168,24 +145,36 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+class FeatureDumpError(ValueError):
+    """Raised when a feature dump cannot be parsed; names the line."""
+
+
 def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
-    lines = Path(path).read_text("utf-8").splitlines()
+    try:
+        lines = Path(path).read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FeatureDumpError(f"feature dump is not UTF-8: {exc}") from None
     if not lines or not lines[0].startswith("#space\t"):
-        raise ValueError("feature dump missing #space header")
-    header = lines[0].split("\t")
-    space = FeatureSpace(tuple(header[2:]), header[1])
+        raise FeatureDumpError("feature dump missing #space header")
+    lineno = 1
     rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        course_id, thread_id, label_s = cells[0], cells[1], cells[2]
-        values = {}
-        for cell in cells[3:]:
-            name, _, value = cell.rpartition(":")
-            values[name] = float(value)
-        rows.append((course_id, thread_id, FeatureVector(values, space), 1 if label_s == "intervened" else 0))
+    try:
+        header = lines[0].split("\t")
+        space = FeatureSpace(tuple(header[2:]), header[1])
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            course_id, thread_id, label_s, *cells = line.split("\t")
+            if label_s not in ("intervened", "not_intervened"):
+                raise ValueError(f"bad label {label_s!r}")
+            values = {}
+            for cell in cells:
+                name, _, value = cell.rpartition(":")
+                values[name] = float(value)
+            rows.append((course_id, thread_id, FeatureVector(values, space), 1 if label_s == "intervened" else 0))
+    except ValueError as exc:
+        raise FeatureDumpError(f"feature dump line {lineno}: {exc}") from None
     return space, rows
 
 
@@ -195,7 +184,7 @@ def cmd_train(args) -> int:
     model = train(dataset, _train_config(args))
     out = _out_dir(args) / "model.txt"
     save_model(model, out)
-    status = "converged" if model.converged else "hit max_iterations"
+    status = "converged" if model.converged else "not converged"
     print(f"wrote {out} ({len(model.feature_space)} dims, {status}, class weight {model.class_weight_value:.4g})")
     return 0
 
@@ -273,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags")
     p.add_argument("--features", choices=features.FEATURE_CONFIGS)
     p.add_argument("--unigrams", choices=("counts", "binary"))
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="accepted for config sharing with eval; no effect here")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train a model from a feature dump")
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="worker processes, one course each (default 1)")
     p.add_argument("--emit", choices=("table", "csv", "records"))
     p.set_defaults(func=cmd_eval)
 
@@ -322,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {args.command} requires --corpus (flag or config file)", file=sys.stderr)
             return 1
         return args.func(args)
-    except (CorpusFormatError, LexiconError, ModelFormatError, syngen.GenError) as exc:
+    except (CorpusFormatError, LexiconError, ModelFormatError, FeatureDumpError, syngen.GenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

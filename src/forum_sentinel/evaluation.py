@@ -14,7 +14,8 @@ import json
 import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,7 +144,6 @@ class EvalReport:
     per_course: list[CourseResult]
     macro: Metrics
     weighted_macro: Metrics
-    significance: dict | None = None
 
 
 def verify_report(report: EvalReport) -> None:
@@ -178,12 +178,7 @@ def _fit_and_score(
     vocabulary: Vocabulary | None = None
     if feature_config in ("edm15", "eplusp"):
         vocabulary = build_vocabulary(train_threads)
-    kwargs = dict(
-        vocabulary=vocabulary,
-        lexicon=lexicon,
-        tag_imports=tag_imports,
-        unigram_mode=unigram_mode,
-    )
+    kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
     fitted = train_model(train_data, train_config)
     test_data = vectorize(test_threads, feature_config, **kwargs)
@@ -191,69 +186,10 @@ def _fit_and_score(
     return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0
 
 
-def _in_domain_course(args) -> CourseResult:
-    (
-        course_id,
-        threads,
-        feature_config,
-        lexicon,
-        train_config,
-        k,
-        seed,
-        fold_mode,
-        tag_imports,
-        unigram_mode,
-    ) = args
-    folds = stratified_kfold(threads, k=k, seed=seed)
-    fold_counts: list[ConfusionCounts] = []
-    vocab_sizes: list[int] = []
-    for i, test_fold in enumerate(folds):
-        if not test_fold:
-            continue
-        train_threads = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        counts, vocab_size = _fit_and_score(
-            train_threads, test_fold, feature_config, lexicon, train_config, tag_imports, unigram_mode
-        )
-        fold_counts.append(counts)
-        vocab_sizes.append(vocab_size)
-    pooled = sum(fold_counts, ConfusionCounts())
-    if fold_mode == "pooled":
-        metrics = prf1(pooled)
-    elif fold_mode == "mean":
-        metrics = macro_average([prf1(c) for c in fold_counts])
-    else:
-        raise ValueError(f"unknown fold metric mode {fold_mode!r}")
-    return CourseResult(
-        course_id=course_id,
-        n_threads=len(threads),
-        counts=pooled,
-        metrics=metrics,
-        fold_counts=tuple(fold_counts),
-        vocabulary_sizes=tuple(vocab_sizes),
-    )
-
-
-def _loo_course(args) -> CourseResult:
-    (
-        course_id,
-        train_threads,
-        test_threads,
-        feature_config,
-        lexicon,
-        train_config,
-        tag_imports,
-        unigram_mode,
-    ) = args
-    counts, vocab_size = _fit_and_score(
-        train_threads, test_threads, feature_config, lexicon, train_config, tag_imports, unigram_mode
-    )
-    return CourseResult(
-        course_id=course_id,
-        n_threads=len(test_threads),
-        counts=counts,
-        metrics=prf1(counts),
-        vocabulary_sizes=(vocab_size,),
-    )
+def _score_course(settings: tuple, entry) -> tuple[str, int, list[tuple[ConfusionCounts, int]]]:
+    """Fit and score every (train, test) split of one plan entry."""
+    course_id, n_threads, splits = entry
+    return course_id, n_threads, [_fit_and_score(train, test, *settings) for train, test in splits]
 
 
 def _pmap(fn, items: list, jobs: int) -> list:
@@ -263,27 +199,30 @@ def _pmap(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _assemble(regime, feature_config, results, train_config, extra_config) -> EvalReport:
-    results = sorted(results, key=lambda r: r.course_id)
-    metrics = [r.metrics for r in results]
-    weights = [float(r.n_threads) for r in results]
-    config = {
-        "features": feature_config,
-        "regime": regime,
-        "l2_lambda": train_config.l2_lambda,
-        "max_iterations": train_config.max_iterations,
-        "convergence_tol": train_config.convergence_tol,
-        "class_weight_mode": train_config.class_weight_mode,
-        "seed": train_config.seed,
-        **extra_config,
-    }
+def _evaluate(
+    regime, plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs,
+    fold_mode="pooled", extra_config=None,
+) -> EvalReport:
+    """Score a plan of ``(course_id, n_threads, [(train, test), ...])`` entries
+    in course order, fanned out per course over ``jobs`` processes. A course's
+    counts pool over its splits; ``fold_mode="mean"`` averages split metrics.
+    """
+    if fold_mode not in ("pooled", "mean"):
+        raise ValueError(f"unknown fold metric mode {fold_mode!r}")
+    settings = (feature_config, lexicon, train_config, tag_imports, unigram_mode)
+    per_course = []
+    for course_id, n_threads, scored in _pmap(partial(_score_course, settings), plan, jobs):
+        fold_counts = tuple(counts for counts, _size in scored)
+        pooled = sum(fold_counts, ConfusionCounts())
+        metrics = macro_average([prf1(c) for c in fold_counts]) if fold_mode == "mean" else prf1(pooled)
+        sizes = tuple(size for _counts, size in scored)
+        per_course.append(CourseResult(course_id, n_threads, pooled, metrics, fold_counts, sizes))
+    metrics = [c.metrics for c in per_course]
+    config = {"features": feature_config, "regime": regime, **asdict(train_config), **(extra_config or {})}
     report = EvalReport(
-        regime=regime,
-        feature_config=feature_config,
-        config=config,
-        per_course=results,
+        regime, feature_config, config, per_course,
         macro=macro_average(metrics),
-        weighted_macro=weighted_macro_average(metrics, weights),
+        weighted_macro=weighted_macro_average(metrics, [float(c.n_threads) for c in per_course]),
     )
     verify_report(report)
     return report
@@ -302,13 +241,19 @@ def run_in_domain(
     unigram_mode: str = "counts",
 ) -> EvalReport:
     """Stratified k-fold cross validation run separately within each course."""
-    grouped = by_course(threads)
-    units = [
-        (cid, course_threads, feature_config, lexicon, train_config, k, seed, fold_mode, tag_imports, unigram_mode)
-        for cid, course_threads in grouped.items()
-    ]
-    results = _pmap(_in_domain_course, units, jobs)
-    return _assemble("in-domain", feature_config, results, train_config, {"k": k, "fold_metrics": fold_mode})
+    plan = []
+    for cid, course_threads in by_course(threads).items():
+        folds = stratified_kfold(course_threads, k=k, seed=seed)
+        splits = [
+            ([t for j, fold in enumerate(folds) if j != i for t in fold], test_fold)
+            for i, test_fold in enumerate(folds)
+            if test_fold
+        ]
+        plan.append((cid, len(course_threads), splits))
+    return _evaluate(
+        "in-domain", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs,
+        fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode},
+    )
 
 
 def run_loo_ccv(
@@ -324,14 +269,11 @@ def run_loo_ccv(
     grouped = by_course(threads)
     if len(grouped) < 2:
         raise ValueError("cross-course validation needs at least 2 courses")
-    units = []
-    for held_out in grouped:
-        train_threads = [t for cid, ts in grouped.items() if cid != held_out for t in ts]
-        units.append(
-            (held_out, train_threads, grouped[held_out], feature_config, lexicon, train_config, tag_imports, unigram_mode)
-        )
-    results = _pmap(_loo_course, units, jobs)
-    return _assemble("ccv", feature_config, results, train_config, {})
+    plan = [
+        (cid, len(test), [([t for other, ts in grouped.items() if other != cid for t in ts], test)])
+        for cid, test in grouped.items()
+    ]
+    return _evaluate("ccv", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs)
 
 
 def render_records(report: EvalReport) -> str:

@@ -160,14 +160,16 @@ def pdtb_space() -> FeatureSpace:
     return FeatureSpace(PDTB_FEATURE_NAMES, "pdtb")
 
 
+def _lexical_names(vocabulary: Vocabulary) -> tuple[str, ...]:
+    return STRUCTURAL_NAMES + tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
+
+
 def edm15_space(vocabulary: Vocabulary) -> FeatureSpace:
-    unigram_names = tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
-    return FeatureSpace(STRUCTURAL_NAMES + unigram_names, "edm15")
+    return FeatureSpace(_lexical_names(vocabulary), "edm15")
 
 
 def eplusp_space(vocabulary: Vocabulary) -> FeatureSpace:
-    unigram_names = tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
-    return FeatureSpace(STRUCTURAL_NAMES + unigram_names + PDTB_FEATURE_NAMES, "eplusp")
+    return FeatureSpace(_lexical_names(vocabulary) + PDTB_FEATURE_NAMES, "eplusp")
 
 
 def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpace:
@@ -281,16 +283,6 @@ def edm15_features(
     )
 
 
-def _thread_length(tokenized: tuple[TokenizedPost, ...], normalizer: str) -> int:
-    if normalizer == "token":
-        return sum(tok.n_tokens for tok in tokenized)
-    if normalizer == "post":
-        return len(tokenized)
-    if normalizer == "sentence":
-        return sum(tok.n_sentences for tok in tokenized)
-    raise ValueError(f"unknown normalizer {normalizer!r}")
-
-
 def vectorize(
     threads: list[Thread],
     config: str,
@@ -298,7 +290,6 @@ def vectorize(
     lexicon: ConnectiveLexicon | None = None,
     tag_imports: TagImport | None = None,
     unigram_mode: str = "counts",
-    pdtb_normalizer: str = "token",
 ) -> list[tuple[FeatureVector, int]]:
     """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened."""
     if config not in FEATURE_CONFIGS:
@@ -321,8 +312,7 @@ def vectorize(
             values.update(_edm15_values(thread, tokenized, vocabulary, unigram_mode))
         if needs_discourse:
             taggings = tag_thread(thread, list(tokenized), lexicon, imported=tag_imports)
-            length = _thread_length(tokenized, pdtb_normalizer)
-            values.update(_pdtb_values(taggings, length))
+            values.update(_pdtb_values(taggings, sum(tok.n_tokens for tok in tokenized)))
         label = 1 if thread.label is Label.INTERVENED else 0
         out.append((FeatureVector(values=values, space=space), label))
     return out

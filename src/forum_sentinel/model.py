@@ -39,7 +39,6 @@ class TrainConfig:
     convergence_tol: float = 1e-6
     class_weight_mode: str = "neg_over_pos"  # or "none"
     seed: int = 0
-    standardize: bool = False
 
     def __post_init__(self):
         if self.l2_lambda < 0:
@@ -200,19 +199,9 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "lbfgs") -> Maxen
     cw = _derive_class_weight(y, config)
     sample_weight = np.where(y == 1.0, cw, 1.0)
 
-    scale = np.ones(X.shape[1])
-    X_opt = X
-    if config.standardize:
-        # scale-only standardization keeps the design matrix sparse
-        mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-        mean = np.asarray(X.mean(axis=0)).ravel()
-        std = np.sqrt(np.maximum(mean_sq - mean**2, 0.0))
-        scale = np.where(std > 0, std, 1.0)
-        X_opt = X @ sp.diags(1.0 / scale)
-
     def fun(theta: np.ndarray):
         loss, grad_w, grad_b = _loss_grad_arrays(
-            theta[:-1], theta[-1], X_opt, y, sample_weight, config.l2_lambda
+            theta[:-1], theta[-1], X, y, sample_weight, config.l2_lambda
         )
         return loss, np.append(grad_w, grad_b)
 
@@ -223,13 +212,13 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "lbfgs") -> Maxen
     converged = grad_inf <= config.convergence_tol
     if not converged:
         logger.info(
-            "optimizer stopped at max_iterations=%d (grad inf-norm %.3g > tol %.3g)",
+            "optimizer stopped unconverged after %d of max_iterations=%d (grad inf-norm %.3g > tol %.3g)",
+            n_iter,
             config.max_iterations,
             grad_inf,
             config.convergence_tol,
         )
-    w = theta[:-1] / scale
-    weights = {name: float(value) for name, value in zip(space.names, w)}
+    weights = {name: float(value) for name, value in zip(space.names, theta[:-1])}
     return MaxentModel(
         weights=weights,
         bias=float(theta[-1]),
@@ -241,18 +230,14 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "lbfgs") -> Maxen
     )
 
 
-def score(model: MaxentModel, vector: FeatureVector) -> float:
+def predict_proba(model: MaxentModel, vector: FeatureVector) -> float:
+    """Probability that the thread draws an intervention."""
     if vector.space != model.feature_space:
         raise ValueError("vector feature space differs from the model's")
     total = model.bias
     for name, value in vector.values.items():
         total += model.weights.get(name, 0.0) * value
-    return total
-
-
-def predict_proba(model: MaxentModel, vector: FeatureVector) -> float:
-    """Probability that the thread draws an intervention."""
-    return float(expit(score(model, vector)))
+    return float(expit(total))
 
 
 def predict(model: MaxentModel, vector: FeatureVector) -> int:
@@ -277,7 +262,7 @@ def save_model(model: MaxentModel, path: str | Path) -> None:
                 f"convergence_tol={_fmt(cfg.convergence_tol)}",
                 f"class_weight_mode={cfg.class_weight_mode}",
                 f"seed={cfg.seed}",
-                f"standardize={int(cfg.standardize)}",
+                "standardize=0",  # kept so model files stay format-compatible
             ]
         ),
         "fit\t"
@@ -336,8 +321,9 @@ def load_model(path: str | Path) -> MaxentModel:
             convergence_tol=float(cfg_kv["convergence_tol"]),
             class_weight_mode=cfg_kv["class_weight_mode"],
             seed=int(cfg_kv["seed"]),
-            standardize=bool(int(cfg_kv["standardize"])),
         )
+        if cfg_kv["standardize"] != "0":
+            raise ValueError(f"unsupported standardize={cfg_kv['standardize']}")
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad config line ({exc}) before byte {at()}") from None
 

@@ -178,3 +178,20 @@ class TestConfigAndErrors:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["ingest", "--corpus", str(tmp_path / "nope.jsonl")]) == 2
+
+    @pytest.mark.parametrize(
+        "dump",
+        [
+            "C1\tt1\tintervened\tn_posts:1.0\n",
+            "#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:many\n",
+            "#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_url:1.0\n",
+            "#space\tedm15\tn_posts\nC1\tt1\n",
+            "#space\tedm15\tn_posts\nC1\tt1\tmaybe\tn_posts:1.0\n",
+        ],
+        ids=["no-space-header", "value-not-float", "name-not-in-header", "short-row", "unknown-label"],
+    )
+    def test_malformed_feature_dump_exit_code(self, dump, tmp_path, capsys):
+        path = tmp_path / "features.tsv"
+        path.write_text(dump, "utf-8")
+        assert main(["train", "--features-file", str(path), "--out", str(tmp_path)]) == 2
+        assert "feature dump" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from forum_sentinel import evaluation
 from forum_sentinel.corpus import Label, filter_and_label
 from forum_sentinel.discourse import load_lexicon
 from forum_sentinel.evaluation import (
@@ -248,6 +249,14 @@ class TestProtocols:
         pooled = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0)
         mean = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0, fold_mode="mean")
         assert pooled.per_course[0].fold_counts == mean.per_course[0].fold_counts
+
+    def test_unknown_fold_mode_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*_args, **_kwargs):
+            raise AssertionError("a fold was fit before fold_mode was checked")
+
+        monkeypatch.setattr(evaluation, "train_model", no_fit)
+        with pytest.raises(ValueError, match="median"):
+            run_in_domain(_syn_threads(), "pdtb", load_lexicon(), TrainConfig(), fold_mode="median")
 
     def test_renderers_are_deterministic(self):
         threads = _syn_threads()

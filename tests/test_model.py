@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 
@@ -223,6 +224,18 @@ class TestTrain:
         assert recall(weighted) >= recall(unweighted)
 
 
+    def test_early_stop_logs_iterations_used_not_the_cap(self, caplog):
+        # L-BFGS-B gives up long before the cap when the tolerance is unreachable
+        data = random_dataset(random.Random(0), 60, 3)
+        config = TrainConfig(max_iterations=100000, convergence_tol=1e-300)
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.model"):
+            model = train(data, config)
+        assert not model.converged and model.n_iterations < config.max_iterations
+        [message] = [r.getMessage() for r in caplog.records]
+        assert f"after {model.n_iterations} of max_iterations=100000" in message
+        assert "grad inf-norm" in message and "> tol 1e-300" in message
+
+
 class TestPredict:
     def test_zero_model_gives_half(self):
         space = make_space(2)
@@ -300,4 +313,14 @@ class TestSaveLoad:
         text = path.read_text("utf-8").replace("w\tf0\t", "w\tf9\t")
         path.write_text(text, "utf-8")
         with pytest.raises(ModelFormatError, match="hash"):
+            load_model(path)
+
+    def test_standardized_model_file_rejected(self, tmp_path):
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        text = path.read_text("utf-8")
+        assert "\tstandardize=0\n" in text
+        path.write_text(text.replace("\tstandardize=0\n", "\tstandardize=1\n"), "utf-8")
+        with pytest.raises(ModelFormatError, match="standardize=1"):
             load_model(path)
