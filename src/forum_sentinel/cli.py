@@ -50,12 +50,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     obj = json.loads(Path(args.config).read_text("utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError("config file must hold a JSON object")
     for key, value in obj.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        attr = key
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _load_filtered(corpus_path: str):
@@ -64,13 +65,12 @@ def _load_filtered(corpus_path: str):
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        l2_lambda=args.l2 if args.l2 is not None else 1e-4,
-        max_iterations=args.max_iter if args.max_iter is not None else 500,
-        convergence_tol=args.tol if args.tol is not None else 1e-6,
-        class_weight_mode=args.class_weights if args.class_weights is not None else "neg_over_pos",
-        seed=args.seed if args.seed is not None else 0,
+    """Training settings from the flags that are set; TrainConfig owns the defaults."""
+    flags = dict(
+        l2_lambda=args.l2, max_iterations=args.max_iter, convergence_tol=args.tol,
+        class_weight_mode=args.class_weights, seed=args.seed,
     )
+    return TrainConfig(**{field: value for field, value in flags.items() if value is not None})
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -196,14 +196,12 @@ def cmd_eval(args) -> int:
     imports = load_tag_import(args.tags) if args.tags else None
     train_config = _train_config(args)
     regime = args.regime or "in-domain"
-    jobs = args.jobs or 1
     unigram_mode = args.unigrams or "counts"
     if regime == "in-domain":
         report = evaluation.run_in_domain(
             threads, config, lexicon, train_config,
             k=args.k if args.k is not None else 5,
             seed=train_config.seed,
-            jobs=jobs,
             fold_mode=args.fold_metrics or "pooled",
             tag_imports=imports,
             unigram_mode=unigram_mode,
@@ -211,7 +209,7 @@ def cmd_eval(args) -> int:
     else:
         report = evaluation.run_loo_ccv(
             threads, config, lexicon, train_config,
-            jobs=jobs, tag_imports=imports, unigram_mode=unigram_mode,
+            tag_imports=imports, unigram_mode=unigram_mode,
         )
     emit = args.emit or "table"
     renderers = {
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
-    p.add_argument("--jobs", type=int, help="worker processes, one course each (default 1)")
+    p.add_argument("--jobs", type=int, help="accepted for config sharing with featurize; no effect")
     p.add_argument("--emit", choices=("table", "csv", "records"))
     p.set_defaults(func=cmd_eval)
 
@@ -314,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusFormatError, LexiconError, ModelFormatError, FeatureDumpError, syngen.GenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -118,10 +118,11 @@ class LoadResult:
 
 
 def parse_rfc3339(value: str) -> datetime:
+    """Parse an RFC 3339 timestamp, which must carry ``Z`` or a numeric offset."""
     # py3.10 fromisoformat rejects the 'Z' suffix
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+        raise ValueError(f"timestamp {value!r} has no Z or numeric offset")
     return ts.astimezone(timezone.utc)
 
 
@@ -134,13 +135,15 @@ def _parse_post(obj: dict, line_no: int) -> Post:
         ) from None
     except (KeyError, TypeError):
         raise CorpusFormatError(f"line {line_no}: post missing 'role'") from None
+    if not isinstance(obj.get("text", ""), str):
+        raise CorpusFormatError(f"line {line_no}: post text is not a string")
     try:
         return Post(
             post_id=str(obj["post_id"]),
             author_id=str(obj["author_id"]),
             role=role,
             timestamp=parse_rfc3339(obj["timestamp"]),
-            text=str(obj["text"]),
+            text=obj["text"],
             parent_post_id=(
                 str(obj["parent_post_id"]) if obj.get("parent_post_id") is not None else None
             ),
@@ -211,21 +214,24 @@ def load_corpus(path: str | Path) -> LoadResult:
     threads: list[Thread] = []
     resorted = 0
     seen: set[tuple[str, str]] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            thread, was_resorted = _parse_record(line, line_no)
-            key = (thread.course_id, thread.thread_id)
-            if key in seen:
-                raise CorpusFormatError(
-                    f"line {line_no}: duplicate thread_id {thread.thread_id!r} "
-                    f"in course {thread.course_id!r}"
-                )
-            seen.add(key)
-            if was_resorted:
-                resorted += 1
-            threads.append(thread)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                thread, was_resorted = _parse_record(line, line_no)
+                key = (thread.course_id, thread.thread_id)
+                if key in seen:
+                    raise CorpusFormatError(
+                        f"line {line_no}: duplicate thread_id {thread.thread_id!r} "
+                        f"in course {thread.course_id!r}"
+                    )
+                seen.add(key)
+                if was_resorted:
+                    resorted += 1
+                threads.append(thread)
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"corpus is not UTF-8: {exc}") from None
     if resorted:
         logger.warning("re-sorted posts of %d thread(s) with non-monotone timestamps", resorted)
     return LoadResult(threads=threads, resorted_threads=resorted)

@@ -133,7 +133,10 @@ def load_lexicon(path: str | Path | None = None) -> ConnectiveLexicon:
     if path is None:
         text = resources.files("forum_sentinel.data").joinpath("connectives.tsv").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LexiconError(f"lexicon is not UTF-8: {exc}") from None
     entries: list[LexiconEntry] = []
     seen: set[tuple[str, ...]] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -147,13 +150,13 @@ def load_lexicon(path: str | Path | None = None) -> ConnectiveLexicon:
     return ConnectiveLexicon(entries)
 
 
-def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon, tau: float = DEFAULT_TAU) -> PostDiscourse:
+def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
     """Tag explicit connectives in one post's unfiltered token stream.
 
     Candidate surfaces are matched over the tokens; overlaps resolve in favor
     of the longer then the leftmost match. A surviving match is accepted when
-    its discourse prior is >= tau, or it opens a sentence, or it touches a
-    comma. The sense is the argmax of the entry's sense weights.
+    its discourse prior is >= ``DEFAULT_TAU``, or it opens a sentence, or it
+    touches a comma. The sense is the argmax of the entry's sense weights.
     """
     tokens = tok.tokens
     n = len(tokens)
@@ -181,7 +184,7 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon, tau: float = DEFAUL
             or (start > 0 and tokens[start - 1] == ",")
             or (end < n and tokens[end] == ",")
         )
-        if entry.discourse_prior >= tau or cue:
+        if entry.discourse_prior >= DEFAULT_TAU or cue:
             tagged.append(
                 TaggedConnective(start=start, end=end, surface=entry.surface, sense=entry.sense)
             )
@@ -197,7 +200,6 @@ def tag_thread(
     thread: Thread,
     tokenized_posts: list[TokenizedPost],
     lexicon: ConnectiveLexicon,
-    tau: float = DEFAULT_TAU,
     imported: TagImport | None = None,
 ) -> list[PostDiscourse]:
     """Tag every post of a thread independently (never across posts).
@@ -206,7 +208,7 @@ def tag_thread(
     verbatim for each post instead of running the matcher.
     """
     if imported is None:
-        return [tag_post(tok, lexicon, tau=tau) for tok in tokenized_posts]
+        return [tag_post(tok, lexicon) for tok in tokenized_posts]
     out: list[PostDiscourse] = []
     for post, tok in zip(thread.posts, tokenized_posts):
         triples = imported.get((thread.course_id, thread.thread_id, post.post_id), ())
@@ -235,30 +237,33 @@ def tag_thread(
 def load_tag_import(path: str | Path) -> TagImport:
     """Read a tag-import file: course, thread, post ids then start:end:Sense triples."""
     table: TagImport = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise LexiconError(f"line {line_no}: expected at least 3 fields")
-            key = (parts[0], parts[1], parts[2])
-            if key in table:
-                raise LexiconError(f"line {line_no}: duplicate post record {key}")
-            triples = []
-            for cell in parts[3:]:
-                if not cell:
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
                     continue
-                bits = cell.split(":")
-                if len(bits) != 3:
-                    raise LexiconError(f"line {line_no}: bad triple {cell!r}")
-                try:
-                    start, end = int(bits[0]), int(bits[1])
-                except ValueError:
-                    raise LexiconError(f"line {line_no}: bad span in {cell!r}") from None
-                triples.append((start, end, SenseTag.from_label(bits[2])))
-            table[key] = tuple(triples)
+                parts = line.split("\t")
+                if len(parts) < 3:
+                    raise LexiconError(f"line {line_no}: expected at least 3 fields")
+                key = (parts[0], parts[1], parts[2])
+                if key in table:
+                    raise LexiconError(f"line {line_no}: duplicate post record {key}")
+                triples = []
+                for cell in parts[3:]:
+                    if not cell:
+                        continue
+                    bits = cell.split(":")
+                    if len(bits) != 3:
+                        raise LexiconError(f"line {line_no}: bad triple {cell!r}")
+                    try:
+                        start, end = int(bits[0]), int(bits[1])
+                    except ValueError:
+                        raise LexiconError(f"line {line_no}: bad span in {cell!r}") from None
+                    triples.append((start, end, SenseTag.from_label(bits[2])))
+                table[key] = tuple(triples)
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"tag-import file is not UTF-8: {exc}") from None
     return table
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -186,32 +184,22 @@ def _fit_and_score(
     return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0
 
 
-def _score_course(settings: tuple, entry) -> tuple[str, int, list[tuple[ConfusionCounts, int]]]:
-    """Fit and score every (train, test) split of one plan entry."""
-    course_id, n_threads, splits = entry
-    return course_id, n_threads, [_fit_and_score(train, test, *settings) for train, test in splits]
-
-
-def _pmap(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _evaluate(
-    regime, plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs,
+    regime, plan, feature_config, lexicon, train_config, tag_imports, unigram_mode,
     fold_mode="pooled", extra_config=None,
 ) -> EvalReport:
     """Score a plan of ``(course_id, n_threads, [(train, test), ...])`` entries
-    in course order, fanned out per course over ``jobs`` processes. A course's
-    counts pool over its splits; ``fold_mode="mean"`` averages split metrics.
+    in course order. A course's counts pool over its splits;
+    ``fold_mode="mean"`` averages split metrics.
     """
     if fold_mode not in ("pooled", "mean"):
         raise ValueError(f"unknown fold metric mode {fold_mode!r}")
-    settings = (feature_config, lexicon, train_config, tag_imports, unigram_mode)
     per_course = []
-    for course_id, n_threads, scored in _pmap(partial(_score_course, settings), plan, jobs):
+    for course_id, n_threads, splits in plan:
+        scored = [
+            _fit_and_score(train, test, feature_config, lexicon, train_config, tag_imports, unigram_mode)
+            for train, test in splits
+        ]
         fold_counts = tuple(counts for counts, _size in scored)
         pooled = sum(fold_counts, ConfusionCounts())
         metrics = macro_average([prf1(c) for c in fold_counts]) if fold_mode == "mean" else prf1(pooled)
@@ -235,7 +223,7 @@ def run_in_domain(
     train_config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    jobs: int = 1,
+    jobs: int = 1,  # accepted and ignored: evaluation runs serially
     fold_mode: str = "pooled",
     tag_imports: TagImport | None = None,
     unigram_mode: str = "counts",
@@ -251,7 +239,7 @@ def run_in_domain(
         ]
         plan.append((cid, len(course_threads), splits))
     return _evaluate(
-        "in-domain", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs,
+        "in-domain", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode,
         fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode},
     )
 
@@ -261,7 +249,7 @@ def run_loo_ccv(
     feature_config: str,
     lexicon: ConnectiveLexicon | None,
     train_config: TrainConfig,
-    jobs: int = 1,
+    jobs: int = 1,  # accepted and ignored: evaluation runs serially
     tag_imports: TagImport | None = None,
     unigram_mode: str = "counts",
 ) -> EvalReport:
@@ -273,7 +261,7 @@ def run_loo_ccv(
         (cid, len(test), [([t for other, ts in grouped.items() if other != cid for t in ts], test)])
         for cid, test in grouped.items()
     ]
-    return _evaluate("ccv", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode, jobs)
+    return _evaluate("ccv", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode)
 
 
 def render_records(report: EvalReport) -> str:

@@ -58,7 +58,6 @@ def run_domain_shift(
     discourse_signal_strength: float = 0.9,
     seed: int = 7,
     k: int = 5,
-    jobs: int = 1,
 ) -> DomainShiftResult:
     spec = GenSpec(
         n_courses=n_courses,
@@ -72,9 +71,9 @@ def run_domain_shift(
     lexicon = load_lexicon()
     train_config = TrainConfig(seed=seed)
     return DomainShiftResult(
-        edm15_in=run_in_domain(threads, "edm15", None, train_config, k=k, seed=seed, jobs=jobs),
-        edm15_out=run_loo_ccv(threads, "edm15", None, train_config, jobs=jobs),
-        pdtb_out=run_loo_ccv(threads, "pdtb", lexicon, train_config, jobs=jobs),
+        edm15_in=run_in_domain(threads, "edm15", None, train_config, k=k, seed=seed),
+        edm15_out=run_loo_ccv(threads, "edm15", None, train_config),
+        pdtb_out=run_loo_ccv(threads, "pdtb", lexicon, train_config),
     )
 
 
@@ -86,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--disjointness", type=float, default=1.0)
     parser.add_argument("--signal", type=float, default=0.9)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     result = run_domain_shift(
         n_courses=args.courses,
@@ -95,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         vocabulary_disjointness=args.disjointness,
         discourse_signal_strength=args.signal,
         seed=args.seed,
-        jobs=args.jobs,
     )
     print(result.summary())
     return 0

@@ -123,10 +123,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    @property
-    def tokens(self) -> frozenset[str]:
-        return frozenset(self.index)
-
 
 @lru_cache(maxsize=None)
 def prepare_thread(thread: Thread) -> tuple[TokenizedPost, ...]:

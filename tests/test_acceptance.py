@@ -306,7 +306,7 @@ def test_leakage_invariant():
         vocabulary = build_vocabulary(train_threads)
         unique_to_held = tokens_of(held_threads) - tokens_of(train_threads)
         assert unique_to_held, "disjoint corpus must give the held-out course unique tokens"
-        assert vocabulary.tokens.isdisjoint(unique_to_held)
+        assert vocabulary.index.keys().isdisjoint(unique_to_held)
 
 
 @criterion(10, "model, corpus and report round-trips are exact")

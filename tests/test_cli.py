@@ -97,11 +97,22 @@ class TestFeaturizeTrain:
         assert model.feature_space == space
         assert model.class_weight_value == pytest.approx(4 / 3)
 
-    def test_featurize_jobs_equivalence(self, syn_corpus, tmp_path):
-        o1, o2 = tmp_path / "j1", tmp_path / "j2"
-        main(["featurize", "--corpus", str(syn_corpus), "--features", "pdtb", "--out", str(o1)])
-        main(["featurize", "--corpus", str(syn_corpus), "--features", "pdtb", "--jobs", "2", "--out", str(o2)])
-        assert (o1 / "features.tsv").read_bytes() == (o2 / "features.tsv").read_bytes()
+
+@pytest.mark.parametrize(
+    "command, filename",
+    [
+        (["featurize", "--features", "pdtb"], "features.tsv"),
+        (["eval", "--features", "pdtb", "--regime", "in-domain", "--k", "3", "--emit", "records"], "report.jsonl"),
+    ],
+    ids=["featurize", "eval-records"],
+)
+def test_jobs_equivalence(command, filename, syn_corpus, tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        assert main(command + ["--corpus", str(syn_corpus), "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append((out / filename).read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestEval:
@@ -195,3 +206,24 @@ class TestConfigAndErrors:
         path.write_text(dump, "utf-8")
         assert main(["train", "--features-file", str(path), "--out", str(tmp_path)]) == 2
         assert "feature dump" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, content, code",
+        [
+            ("--config", b"[1, 2]\n", 1),
+            ("--corpus", b'{"course_id": "C\xff"}\n', 2),
+            ("--lexicon", b"but\t0.9\t0\t0\t1\xff\t0\n", 2),
+            ("--tags", b"C1\tpos0\tp0\t0:1:Compar\xe9son\n", 2),
+            ("--tags", None, 2),
+        ],
+        ids=["config-not-object", "corpus-not-utf8", "lexicon-not-utf8", "tags-not-utf8", "tags-is-directory"],
+    )
+    def test_bad_input_file_exit_code(self, flag, content, code, small_corpus, tmp_path, capsys):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = ["tag", "--corpus", str(small_corpus), "--out", str(tmp_path / "o"), flag, str(path)]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")

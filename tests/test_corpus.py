@@ -59,6 +59,16 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="parent_post_id"):
             load_corpus(corpus_file([record(posts=posts)]))
 
+    @pytest.mark.parametrize(
+        "post",
+        [post_obj(0, text=None), post_obj(0, ts="2020-01-06T10:00:00")],
+        ids=["null-text", "timestamp-without-offset"],
+    )
+    def test_spec_violation_names_line(self, corpus_file, post):
+        path = corpus_file([record(), record(tid="t2", posts=[post])])
+        with pytest.raises(CorpusFormatError, match="line 2"):
+            load_corpus(path)
+
     def test_stable_order_across_loads(self, corpus_file):
         path = corpus_file([record(tid=f"t{i}") for i in range(5)])
         a = load_corpus(path).threads

@@ -214,7 +214,7 @@ class TestProtocols:
                 for tok in prepare_thread(t):
                     train_tokens.update(content_filter(tok.tokens))
             unique_to_held = held_tokens - train_tokens
-            assert vocab.tokens.isdisjoint(unique_to_held)
+            assert vocab.index.keys().isdisjoint(unique_to_held)
 
     def test_loo_course_order_invariance(self):
         threads = _syn_threads()
