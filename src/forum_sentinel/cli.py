@@ -55,6 +55,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for key, value in obj.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        action = next((a for a in args.parser._actions if a.dest == key), None)
+        try:  # a value must be what the flag itself would parse from its text
+            valid = action is None or (action.type or str)(str(value)) == value and value in (action.choices or [value])
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"config key {key!r} has an invalid value {value!r}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -240,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, needs_corpus=True):
         p.add_argument("--config", help="JSON config file; flags override it")
+        p.set_defaults(parser=p)
         if needs_corpus:
             p.add_argument("--corpus", help="line-delimited corpus file")
         p.add_argument("--out", help="output directory (default: cwd)")
@@ -267,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_corpus=False)
     p.add_argument("--features-file", required=True, help="dump from `featurize`")
     p.add_argument("--l2", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int, help="cap on trust-region Newton iterations per fit")
+    p.add_argument("--tol", type=float, help="a fit has converged when its gradient inf-norm is <= this")
     p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
@@ -284,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-metrics", choices=("pooled", "mean"))
     p.add_argument("--seed", type=int)
     p.add_argument("--l2", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int, help="cap on trust-region Newton iterations per fit")
+    p.add_argument("--tol", type=float, help="a fit has converged when its gradient inf-norm is <= this")
     p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
     p.add_argument("--jobs", type=int, help="accepted for config sharing with featurize; no effect")
     p.add_argument("--emit", choices=("table", "csv", "records"))

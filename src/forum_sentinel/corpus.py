@@ -119,6 +119,8 @@ class LoadResult:
 
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp, which must carry ``Z`` or a numeric offset."""
+    if not isinstance(value, str):
+        raise ValueError(f"timestamp {value!r} is not a string")
     # py3.10 fromisoformat rejects the 'Z' suffix
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:

@@ -2,7 +2,8 @@
 
 A renamed or removed attribute makes every benchmark run fail, so each
 workload runs here once, traced, on a corpus of 3 courses x 20 threads. A
-traced run also checks how often each thread is vectorized and tagged.
+traced run also checks how often each thread is vectorized and tagged, and
+that every fit reached its optimum.
 """
 
 from __future__ import annotations
@@ -57,3 +58,4 @@ def test_traced_workload_runs_clean(workload, corpus, tmp_path):
     doc = json.loads(result.read_text("utf-8"))
     assert doc["traced"]
     assert doc["failures"] == []
+    assert doc["layers"]["model.unconverged"] == 0

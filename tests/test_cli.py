@@ -179,6 +179,16 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"corpse": "x"}))
         assert main(["ingest", "--config", str(cfg), "--corpus", "anything"]) == 1
 
+    @pytest.mark.parametrize(
+        "setting", [{"k": "3"}, {"l2": "x"}, {"features": "bogus"}], ids=["k-string", "l2-not-float", "features-unknown"]
+    )
+    def test_mistyped_config_value(self, setting, small_corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(setting))
+        argv = ["eval", "--config", str(cfg), "--corpus", str(small_corpus), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {next(iter(setting))!r}")
+
     def test_missing_corpus_flag(self, capsys):
         assert main(["ingest"]) == 1
 
@@ -215,8 +225,12 @@ class TestConfigAndErrors:
             ("--lexicon", b"but\t0.9\t0\t0\t1\xff\t0\n", 2),
             ("--tags", b"C1\tpos0\tp0\t0:1:Compar\xe9son\n", 2),
             ("--tags", None, 2),
+            ("--corpus", (json.dumps(record(posts=[post_obj(0, ts=5)])) + "\n").encode(), 2),
         ],
-        ids=["config-not-object", "corpus-not-utf8", "lexicon-not-utf8", "tags-not-utf8", "tags-is-directory"],
+        ids=[
+            "config-not-object", "corpus-not-utf8", "lexicon-not-utf8", "tags-not-utf8", "tags-is-directory",
+            "timestamp-not-string",
+        ],
     )
     def test_bad_input_file_exit_code(self, flag, content, code, small_corpus, tmp_path, capsys):
         path = tmp_path / "input"

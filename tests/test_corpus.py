@@ -61,8 +61,8 @@ class TestLoadCorpus:
 
     @pytest.mark.parametrize(
         "post",
-        [post_obj(0, text=None), post_obj(0, ts="2020-01-06T10:00:00")],
-        ids=["null-text", "timestamp-without-offset"],
+        [post_obj(0, text=None), post_obj(0, ts="2020-01-06T10:00:00"), post_obj(0, ts=5)],
+        ids=["null-text", "timestamp-without-offset", "timestamp-not-string"],
     )
     def test_spec_violation_names_line(self, corpus_file, post):
         path = corpus_file([record(), record(tid="t2", posts=[post])])

@@ -12,6 +12,8 @@ from forum_sentinel.model import (
     MaxentModel,
     ModelFormatError,
     TrainConfig,
+    _hessian_product,
+    _to_arrays,
     class_weight,
     load_model,
     loss_and_gradient,
@@ -99,6 +101,28 @@ class TestLossAndGradient:
             fd_b = (loss_at(model.weights, model.bias + h) - loss_at(model.weights, model.bias - h)) / (2 * h)
             assert abs(grad_b - fd_b) / max(abs(fd_b), 1.0) < 1e-4
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_hessian_product_matches_gradient_differences(self, lam):
+        # independent oracle: central differences of the exact gradient along v
+        rng = random.Random(17)
+        space = make_space(5)
+        config = TrainConfig(l2_lambda=lam)
+        data = random_dataset(rng, 20, 5, space)
+        X, y = _to_arrays(data, space)
+        hessp = _hessian_product(X, np.where(y == 1.0, 2.5, 1.0), lam)
+
+        def grad(theta):
+            model = MaxentModel(dict(zip(space.names, theta[:-1])), theta[-1], space, config)
+            _loss, grad_w, grad_b = loss_and_gradient(model, data, config, class_weight_override=2.5)
+            return np.array([grad_w[name] for name in space.names] + [grad_b])
+
+        h = 1e-5
+        for _ in range(2):  # the second point checks that D follows theta
+            theta = np.array([rng.gauss(0, 1) for _ in range(6)])
+            v = np.array([rng.gauss(0, 1) for _ in range(6)])
+            fd = (grad(theta + h * v) - grad(theta - h * v)) / (2 * h)
+            np.testing.assert_allclose(hessp(theta, v), fd, rtol=1e-6, atol=1e-6)
+
     def test_doubling_class_weight_doubles_positive_contribution(self):
         rng = random.Random(0)
         space = make_space(4)
@@ -166,13 +190,31 @@ class TestTrain:
             assert a.weights[name] == pytest.approx(b.weights[name], abs=1e-5)
         assert a.bias == pytest.approx(b.bias, abs=1e-5)
 
+    def test_newton_agrees_with_cross_checks(self):
+        # the problem of test_acceptance.py::test_optimization_suite
+        rng = random.Random(8)
+        space = make_space(4)
+        data = []
+        for i in range(30):
+            label = i % 2
+            values = {f"f{j}": rng.gauss(0.8 if label else -0.8, 1.0) for j in range(4)}
+            data.append((FeatureVector(values, space), label))
+        config = TrainConfig(l2_lambda=1e-2, max_iterations=100000, convergence_tol=1e-8)
+        newton = train(data, config, method="newton")
+        assert newton.converged
+        for method in ("gd", "lbfgs"):
+            other = train(data, config, method=method)
+            for name in space.names:
+                assert newton.weights[name] == pytest.approx(other.weights[name], abs=1e-5)
+            assert newton.bias == pytest.approx(other.bias, abs=1e-5)
+
     def test_bit_deterministic(self, tmp_path):
         rng = random.Random(5)
         space = make_space(6)
         data = random_dataset(rng, 24, 6, space)
         config = TrainConfig(seed=13)
-        m1 = train(data, config)
-        m2 = train(data, config)
+        m1 = train(data, config, method="newton")
+        m2 = train(data, config, method="newton")
         assert m1.weights == m2.weights and m1.bias == m2.bias
         save_model(m1, tmp_path / "a.txt")
         save_model(m2, tmp_path / "b.txt")
@@ -225,7 +267,7 @@ class TestTrain:
 
 
     def test_early_stop_logs_iterations_used_not_the_cap(self, caplog):
-        # L-BFGS-B gives up long before the cap when the tolerance is unreachable
+        # the Newton fit gives up long before the cap when the tolerance is unreachable
         data = random_dataset(random.Random(0), 60, 3)
         config = TrainConfig(max_iterations=100000, convergence_tol=1e-300)
         with caplog.at_level(logging.INFO, logger="forum_sentinel.model"):
@@ -234,6 +276,15 @@ class TestTrain:
         [message] = [r.getMessage() for r in caplog.records]
         assert f"after {model.n_iterations} of max_iterations=100000" in message
         assert "grad inf-norm" in message and "> tol 1e-300" in message
+
+    def test_converged_fit_logs_one_line(self, caplog):
+        data = random_dataset(random.Random(0), 60, 3)
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.model"):
+            model = train(data, TrainConfig())
+        assert model.converged
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(f"newton fit converged after {model.n_iterations} of max_iterations=500")
+        assert "<= tol 1e-06" in message and message.endswith(", 3 dims")
 
 
 class TestPredict:
