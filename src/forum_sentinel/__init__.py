@@ -50,7 +50,6 @@ from .features import (
     FeatureVector,
     Vocabulary,
     build_vocabulary,
-    edm15_features,
     pdtb_features,
     vectorize,
 )

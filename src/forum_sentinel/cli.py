@@ -131,18 +131,18 @@ def _format_feature_record(course_id, thread_id, label, vec: FeatureVector) -> s
 def cmd_featurize(args) -> int:
     threads = _load_filtered(args.corpus)
     config = args.features or "eplusp"
-    lexicon = load_lexicon(args.lexicon) if config != "edm15" else None
+    lexicon = load_lexicon(args.lexicon) if config in features.DISCOURSE_CONFIGS else None
     imports = load_tag_import(args.tags) if args.tags else None
     unigram_mode = args.unigrams or "counts"
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
-    vocabulary = build_vocabulary(threads) if config in ("edm15", "eplusp") else None
+    vocabulary = build_vocabulary(threads) if config in features.LEXICAL_CONFIGS else None
     data = vectorize(
         threads, config,
         vocabulary=vocabulary, lexicon=lexicon,
         tag_imports=imports, unigram_mode=unigram_mode,
     )
-    space = data[0][0].space if data else features.build_space(config, vocabulary)
+    space = features.build_space(config, vocabulary)
     lines = ["#space\t" + "\t".join((config,) + space.names)]
     for thread, (vec, label) in zip(threads, data):
         lines.append(_format_feature_record(thread.course_id, thread.thread_id, label, vec))
@@ -199,7 +199,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     threads = _load_filtered(args.corpus)
     config = args.features or "eplusp"
-    lexicon = load_lexicon(args.lexicon) if config != "edm15" else None
+    lexicon = load_lexicon(args.lexicon) if config in features.DISCOURSE_CONFIGS else None
     imports = load_tag_import(args.tags) if args.tags else None
     train_config = _train_config(args)
     regime = args.regime or "in-domain"
@@ -310,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code == 0 else 1
     try:
         _apply_config_file(args)
         if getattr(args, "corpus", "_") is None:

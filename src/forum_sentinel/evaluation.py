@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Label, Thread, by_course
 from .discourse import ConnectiveLexicon, TagImport
-from .features import Vocabulary, build_vocabulary, vectorize
+from .features import LEXICAL_CONFIGS, Vocabulary, build_vocabulary, vectorize
 from .model import TrainConfig, predict, train as train_model
 
 logger = logging.getLogger(__name__)
@@ -172,16 +172,20 @@ def _fit_and_score(
     train_config: TrainConfig,
     tag_imports: TagImport | None,
     unigram_mode: str,
-) -> tuple[ConfusionCounts, int]:
+) -> tuple[ConfusionCounts, int, bool]:
+    """Fit on one split and score its test side; the flag marks a training
+    split of one class, whose test threads all get that class unfitted."""
     vocabulary: Vocabulary | None = None
-    if feature_config in ("edm15", "eplusp"):
+    if feature_config in LEXICAL_CONFIGS:
         vocabulary = build_vocabulary(train_threads)
     kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
-    fitted = train_model(train_data, train_config)
+    classes = {label for _vec, label in train_data}
+    one_class = len(classes) == 1
+    fitted = None if one_class else train_model(train_data, train_config)
     test_data = vectorize(test_threads, feature_config, **kwargs)
-    pairs = [(label, predict(fitted, vec)) for vec, label in test_data]
-    return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0
+    pairs = [(label, max(classes) if one_class else predict(fitted, vec)) for vec, label in test_data]
+    return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0, one_class
 
 
 def _evaluate(
@@ -200,10 +204,12 @@ def _evaluate(
             _fit_and_score(train, test, feature_config, lexicon, train_config, tag_imports, unigram_mode)
             for train, test in splits
         ]
-        fold_counts = tuple(counts for counts, _size in scored)
+        fold_counts, sizes, one_class = zip(*scored)
+        if any(one_class):
+            logger.warning("course %s: %d of %d training splits hold one class; their test threads get it",
+                           course_id, sum(one_class), len(scored))
         pooled = sum(fold_counts, ConfusionCounts())
         metrics = macro_average([prf1(c) for c in fold_counts]) if fold_mode == "mean" else prf1(pooled)
-        sizes = tuple(size for _counts, size in scored)
         per_course.append(CourseResult(course_id, n_threads, pooled, metrics, fold_counts, sizes))
     metrics = [c.metrics for c in per_course]
     config = {"features": feature_config, "regime": regime, **asdict(train_config), **(extra_config or {})}

@@ -27,6 +27,9 @@ from .discourse import SENSES, ConnectiveLexicon, PostDiscourse, TagImport, tag_
 from .textprep import TokenizedPost, content_filter, prepare_text
 
 FEATURE_CONFIGS = ("edm15", "pdtb", "eplusp")
+# the configs with the lexical block and those with the discourse block
+LEXICAL_CONFIGS = ("edm15", "eplusp")
+DISCOURSE_CONFIGS = ("pdtb", "eplusp")
 
 FORUM_ORDER = (
     SubForumType.ERRATA,
@@ -131,13 +134,14 @@ def prepare_thread(thread: Thread) -> tuple[TokenizedPost, ...]:
 
 
 @lru_cache(maxsize=1)
-def load_affirmations() -> tuple[tuple[str, ...], ...]:
+def load_affirmations() -> tuple[str, ...]:
+    """Affirmation phrases as space-joined tokens padded with one space each side."""
     data = resources.files("forum_sentinel.data").joinpath("affirmations.txt").read_text("utf-8")
     phrases = []
     for line in data.splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
-            phrases.append(tuple(prepare_text(line).tokens))
+            phrases.append(f" {' '.join(prepare_text(line).tokens)} ")
     return tuple(phrases)
 
 
@@ -152,32 +156,18 @@ def build_vocabulary(training_threads: list[Thread]) -> Vocabulary:
     return Vocabulary(index={token: i for i, token in enumerate(sorted(seen))})
 
 
-def pdtb_space() -> FeatureSpace:
-    return FeatureSpace(PDTB_FEATURE_NAMES, "pdtb")
-
-
-def _lexical_names(vocabulary: Vocabulary) -> tuple[str, ...]:
-    return STRUCTURAL_NAMES + tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
-
-
-def edm15_space(vocabulary: Vocabulary) -> FeatureSpace:
-    return FeatureSpace(_lexical_names(vocabulary), "edm15")
-
-
-def eplusp_space(vocabulary: Vocabulary) -> FeatureSpace:
-    return FeatureSpace(_lexical_names(vocabulary) + PDTB_FEATURE_NAMES, "eplusp")
-
-
 def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpace:
-    if config == "pdtb":
-        return pdtb_space()
-    if vocabulary is None:
-        raise ValueError(f"config {config!r} requires a vocabulary")
-    if config == "edm15":
-        return edm15_space(vocabulary)
-    if config == "eplusp":
-        return eplusp_space(vocabulary)
-    raise ValueError(f"unknown feature config {config!r}")
+    """The ordered feature names of a config: structure and unigrams, then discourse."""
+    if config not in FEATURE_CONFIGS:
+        raise ValueError(f"unknown feature config {config!r}")
+    names: tuple[str, ...] = ()
+    if config in LEXICAL_CONFIGS:
+        if vocabulary is None:
+            raise ValueError(f"config {config!r} requires a vocabulary")
+        names = STRUCTURAL_NAMES + tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
+    if config in DISCOURSE_CONFIGS:
+        names += PDTB_FEATURE_NAMES
+    return FeatureSpace(names, config)
 
 
 def _pdtb_values(taggings: list[PostDiscourse], thread_token_length: int) -> dict[str, float]:
@@ -209,7 +199,7 @@ def _pdtb_values(taggings: list[PostDiscourse], thread_token_length: int) -> dic
 
 def pdtb_features(taggings: list[PostDiscourse], thread_token_length: int) -> FeatureVector:
     """The 25-dim discourse block for one thread's tagging."""
-    return FeatureVector(values=_pdtb_values(taggings, thread_token_length), space=pdtb_space())
+    return FeatureVector(values=_pdtb_values(taggings, thread_token_length), space=build_space("pdtb"))
 
 
 def _has_affirmation(thread: Thread, tokenized: tuple[TokenizedPost, ...]) -> bool:
@@ -217,13 +207,10 @@ def _has_affirmation(thread: Thread, tokenized: tuple[TokenizedPost, ...]) -> bo
     for i, (post, tok) in enumerate(zip(thread.posts, tokenized)):
         if i == 0 or post.role.value != "student":
             continue
-        tokens = tok.tokens
-        for phrase in phrases:
-            k = len(phrase)
-            if k == 0 or k > len(tokens):
-                continue
-            if any(tokens[j : j + k] == phrase for j in range(len(tokens) - k + 1)):
-                return True
+        # tokens hold no spaces, so a padded substring is a whole-token run
+        text = f" {' '.join(tok.tokens)} "
+        if any(phrase in text for phrase in phrases):
+            return True
     return False
 
 
@@ -264,21 +251,6 @@ def _edm15_values(
     return values
 
 
-def edm15_features(
-    thread: Thread,
-    tokenized: tuple[TokenizedPost, ...],
-    vocabulary: Vocabulary,
-    unigram_mode: str = "counts",
-) -> FeatureVector:
-    """The lexical-baseline block for one thread."""
-    if vocabulary is None:
-        raise ValueError("edm15 features require a vocabulary")
-    return FeatureVector(
-        values=_edm15_values(thread, tokenized, vocabulary, unigram_mode),
-        space=edm15_space(vocabulary),
-    )
-
-
 def vectorize(
     threads: list[Thread],
     config: str,
@@ -288,15 +260,11 @@ def vectorize(
     unigram_mode: str = "counts",
 ) -> list[tuple[FeatureVector, int]]:
     """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened."""
-    if config not in FEATURE_CONFIGS:
-        raise ValueError(f"unknown feature config {config!r}")
-    needs_lexical = config in ("edm15", "eplusp")
-    needs_discourse = config in ("pdtb", "eplusp")
-    if needs_lexical and vocabulary is None:
-        raise ValueError(f"config {config!r} requires a vocabulary")
+    space = build_space(config, vocabulary)
+    needs_lexical = config in LEXICAL_CONFIGS
+    needs_discourse = config in DISCOURSE_CONFIGS
     if needs_discourse and lexicon is None and tag_imports is None:
         raise ValueError(f"config {config!r} requires a lexicon or imported tags")
-    space = build_space(config, vocabulary)
 
     out: list[tuple[FeatureVector, int]] = []
     for thread in threads:

@@ -90,8 +90,8 @@ def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np
     y = np.zeros(len(dataset))
     for i, (vec, label) in enumerate(dataset):
         y[i] = float(label)
-        # fixed insertion order keeps summation order, hence bits, reproducible
-        for name, value in sorted(vec.values.items(), key=lambda kv: space.index(kv[0])):
+        # csr_matrix sorts each row by column, so dict order cannot move the bits
+        for name, value in vec.values.items():
             rows.append(i)
             cols.append(space.index(name))
             data.append(value)

@@ -9,7 +9,7 @@ fixture file data/nonlexical_patterns.tsv pins their behavior.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -129,9 +129,9 @@ def tokenize(text: str) -> TokenizedPost:
 
 
 def prepare_text(text: str) -> TokenizedPost:
-    """replace_nonlexical followed by tokenize."""
-    replaced, _counts = replace_nonlexical(text)
-    return tokenize(replaced)
+    """replace_nonlexical then tokenize; counts are replacements, not words like "URL"."""
+    replaced, counts = replace_nonlexical(text)
+    return replace(tokenize(replaced), replaced_counts=counts)
 
 
 @lru_cache(maxsize=1)

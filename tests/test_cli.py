@@ -189,6 +189,20 @@ class TestConfigAndErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: config key {next(iter(setting))!r}")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "--bogus"], 1),
+            (["eval", "--k", "x"], 1),
+            (["eval", "--features", "nope"], 1),
+            (["train"], 1),
+            (["--help"], 0),
+        ],
+        ids=["unknown-flag", "k-not-int", "features-unknown", "train-no-features-file", "help"],
+    )
+    def test_usage_exit_code(self, argv, code, capsys):
+        assert main(argv) == code
+
     def test_missing_corpus_flag(self, capsys):
         assert main(["ingest"]) == 1
 

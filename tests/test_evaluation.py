@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+import logging
 import random
 
 import numpy as np
 import pytest
 
 from forum_sentinel import evaluation
-from forum_sentinel.corpus import Label, filter_and_label
+from forum_sentinel.cli import main
+from forum_sentinel.corpus import Label, filter_and_label, load_corpus
 from forum_sentinel.discourse import load_lexicon
 from forum_sentinel.evaluation import (
     ConfusionCounts,
@@ -27,7 +30,7 @@ from forum_sentinel.evaluation import (
 )
 from forum_sentinel.features import build_vocabulary
 from forum_sentinel.model import TrainConfig
-from forum_sentinel.syngen import GenSpec, generate_threads
+from forum_sentinel.syngen import GenSpec, generate, generate_threads
 from forum_sentinel.textprep import content_filter
 from forum_sentinel.features import prepare_thread
 
@@ -265,3 +268,29 @@ class TestProtocols:
         assert render_csv(report).startswith("course,")
         table = render_table(report)
         assert "Macro avg." in table and "Weighted macro avg." in table
+
+
+def test_single_class_training_split_is_scored_not_fatal(tmp_path, caplog, capsys):
+    # SYN-0 keeps one intervened thread, so the split that tests it trains on negatives only
+    full = tmp_path / "full.jsonl"
+    generate(GenSpec(n_courses=2, threads_per_course=40, intervention_ratio=0.25,
+                     vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=3), full)
+    intervened = sorted(t.thread_id for t in filter_and_label(load_corpus(full).threads)
+                        if t.course_id == "SYN-0" and t.label is Label.INTERVENED)
+    assert len(intervened) > 1
+    records = [json.loads(line) for line in full.read_text("utf-8").splitlines()]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records
+                              if r["course_id"] != "SYN-0" or r["thread_id"] not in intervened[1:]), "utf-8")
+    threads = filter_and_label(load_corpus(corpus).threads)
+    with caplog.at_level(logging.WARNING, logger="forum_sentinel.evaluation"):
+        report = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0)
+    verify_report(report)
+    sparse = report.per_course[0]
+    assert sparse.course_id == "SYN-0"
+    assert sparse.counts.total == sparse.n_threads
+    assert sparse.counts.tp + sparse.counts.fn == 1
+    assert "course SYN-0: 1 of 5 training splits hold one class" in caplog.text
+    argv = ["eval", "--corpus", str(corpus), "--features", "pdtb", "--regime", "in-domain",
+            "--emit", "records", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0

@@ -11,11 +11,7 @@ from forum_sentinel.features import (
     FeatureVector,
     build_space,
     build_vocabulary,
-    edm15_features,
-    edm15_space,
     pdtb_features,
-    pdtb_space,
-    prepare_thread,
     vectorize,
 )
 
@@ -40,7 +36,7 @@ class TestPdtbFeatures:
         assert PDTB_FEATURE_NAMES[1:3] == ("pdtb.abs.temporal", "pdtb.rel.temporal")
         assert PDTB_FEATURE_NAMES[9] == "pdtb.pair.temporal.temporal"
         assert PDTB_FEATURE_NAMES[24] == "pdtb.pair.expansion.expansion"
-        assert len(pdtb_space()) == 25
+        assert len(build_space("pdtb")) == 25
 
     def test_worked_example(self):
         tagging = discourse_of((SenseTag.EXPANSION, SenseTag.CONTINGENCY, SenseTag.EXPANSION))
@@ -122,7 +118,7 @@ class TestEdm15Features:
             parents=[None, "p0", "p0", None, "p0"],
             texts=["alpha beta"] * 5,
         )
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("n_posts") == 2
         assert vec.get("n_comments") == 3
         assert vec.get("n_posts_plus_comments") == 5
@@ -130,23 +126,33 @@ class TestEdm15Features:
 
     def test_forum_one_hot_order(self):
         thread = make_thread(["student"], subforum="lecture")
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         onehot = [vec.get(n) for n in STRUCTURAL_NAMES[:4]]
         assert onehot == [0.0, 0.0, 1.0, 0.0]
 
     def test_affirmation_in_later_student_post(self):
         thread = make_thread(["student", "student"], texts=["why is this", "thanks a lot"])
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("affirmation") == 1.0
 
     def test_affirmation_ignores_first_post(self):
         thread = make_thread(["student", "student"], texts=["thanks a lot", "why is this"])
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("affirmation") == 0.0
+
+    @pytest.mark.parametrize(
+        "reply, expected",
+        [("I disagree", 0.0), ("thanksgiving plans", 0.0), ("Thank you!", 1.0), ("thank you", 1.0)],
+        ids=["inside-a-word", "word-prefix", "phrase-then-punctuation", "phrase-is-the-whole-post"],
+    )
+    def test_affirmation_matches_whole_tokens(self, reply, expected):
+        thread = make_thread(["student", "student"], texts=["why is this", reply])
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        assert vec.get("affirmation") == expected
 
     def test_multiword_affirmation(self):
         thread = make_thread(["student", "student"], texts=["hmm", "ok you're right about it"])
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("affirmation") == 1.0
 
     def test_url_timeref_and_sentence_counts(self):
@@ -154,14 +160,14 @@ class TestEdm15Features:
             ["student", "student"],
             texts=["see https://a.b/c now. Look here.", "at 10:30 and 11:45 it breaks"],
         )
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("n_url") == 1
         assert vec.get("n_timeref") == 2
         assert vec.get("n_sentences") == 3
 
     def test_unigram_counts_use_filtered_tokens(self):
         thread = make_thread(["student"], texts=["the gradient gradient converges"])
-        vec = edm15_features(thread, prepare_thread(thread), self._vocab(thread))
+        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
         assert vec.get("uni.gradient") == 2.0
         assert vec.get("uni.converges") == 1.0
         assert "uni.the" not in vec.space
@@ -183,7 +189,7 @@ class TestVocabulary:
         train = make_thread(["student"], texts=["alpha beta"], tid="a")
         test = make_thread(["student"], texts=["alpha newword"], tid="b")
         vocab = build_vocabulary([train])
-        vec = edm15_features(test, prepare_thread(test), vocab)
+        vec = vectorize([test], "edm15", vocabulary=vocab)[0][0]
         assert vec.get("uni.alpha") == 1.0
         assert "uni.newword" not in vec.space
         assert all(not name.endswith("newword") for name in vec.values)
@@ -258,6 +264,6 @@ def test_feature_vector_validation():
 
 def test_edm15_space_order_is_stable():
     t = make_thread(["student"], texts=["zeta alpha"])
-    space = edm15_space(build_vocabulary([t]))
+    space = build_space("edm15", build_vocabulary([t]))
     assert space.names[: len(STRUCTURAL_NAMES)] == STRUCTURAL_NAMES
     assert space.names[len(STRUCTURAL_NAMES) :] == ("uni.alpha", "uni.zeta")

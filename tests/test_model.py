@@ -220,6 +220,16 @@ class TestTrain:
         save_model(m2, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_row_dict_order_cannot_move_the_bits(self):
+        rng = random.Random(5)
+        space = make_space(6)
+        data = random_dataset(rng, 24, 6, space)
+        flipped = [(FeatureVector(dict(reversed(vec.values.items())), space), label) for vec, label in data]
+        assert [list(v.values) for v, _ in flipped] != [list(v.values) for v, _ in data]
+        a = train(data, TrainConfig())
+        b = train(flipped, TrainConfig())
+        assert a.weights == b.weights and a.bias == b.bias
+
     def test_single_class_rejected(self):
         space = make_space(1)
         data = [(FeatureVector({"f0": 1.0}, space), 1)] * 3

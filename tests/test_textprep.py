@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,18 @@ class TestTokenize:
         assert covered == list(range(len(tok.tokens)))
         for ph in PLACEHOLDERS:
             assert tok.replaced_counts[ph] == tok.tokens.count(ph)
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            ("Paste the URL here", {"EQU": 0, "URL": 0, "TIMEREF": 0}),
+            ("EQU and TIMEREF are words too", {"EQU": 0, "URL": 0, "TIMEREF": 0}),
+            ("URL: see https://x.y/z at 10:30", {"EQU": 0, "URL": 1, "TIMEREF": 1}),
+        ],
+        ids=["url-word", "equ-timeref-words", "word-and-link"],
+    )
+    def test_prepared_counts_are_replacements_made(self, text, counts):
+        assert prepare_text(text).replaced_counts == counts
 
     @settings(max_examples=100, deadline=None)
     @given(st.text(max_size=200))
