@@ -169,6 +169,7 @@ def load_feature_dump(path: str | Path):
     try:
         header = lines[0].split("\t")
         space = FeatureSpace(tuple(header[2:]), header[1])
+        shared = {name: name for name in space.names}  # one string per feature across all rows
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -178,7 +179,7 @@ def load_feature_dump(path: str | Path):
             values = {}
             for cell in cells:
                 name, _, value = cell.rpartition(":")
-                values[name] = float(value)
+                values[shared.get(name, name)] = float(value)
             rows.append((course_id, thread_id, FeatureVector(values, space), 1 if label_s == "intervened" else 0))
     except ValueError as exc:
         raise FeatureDumpError(f"feature dump line {lineno}: {exc}") from None

@@ -81,6 +81,10 @@ class Thread:
     posts: tuple[Post, ...]
     label: Label | None = None
 
+    def __hash__(self) -> int:
+        # ids keep cache lookups cheap; the generated __eq__ still compares every field
+        return hash((self.course_id, self.thread_id))
+
     def first_staff_index(self) -> int | None:
         for i, post in enumerate(self.posts):
             if post.role.is_staff:

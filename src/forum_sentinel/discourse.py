@@ -98,9 +98,6 @@ class ConnectiveLexicon:
     def __contains__(self, surface: str) -> bool:
         return tuple(surface.split()) in self.entries
 
-    def candidates(self, first_token: str) -> list[LexiconEntry]:
-        return self._by_first.get(first_token, [])
-
     def without(self, surface: str) -> "ConnectiveLexicon":
         key = tuple(surface.split())
         return ConnectiveLexicon([e for e in self.entries.values() if e.tokens != key])
@@ -160,12 +157,15 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
     """
     tokens = tok.tokens
     n = len(tokens)
+    by_first = lexicon._by_first
     matches: list[tuple[int, int, LexiconEntry]] = []
-    for i in range(n):
-        for entry in lexicon.candidates(tokens[i]):
+    for i in [i for i, token in enumerate(tokens) if token in by_first]:
+        for entry in by_first[tokens[i]]:
             end = i + len(entry.tokens)
             if end <= n and tokens[i:end] == entry.tokens:
                 matches.append((i, end, entry))
+    if not matches:
+        return PostDiscourse(tags=())
     matches.sort(key=lambda m: (m[0] - m[1], m[0]))  # longer first, then leftmost
     used = [False] * n
     resolved: list[tuple[int, int, LexiconEntry]] = []

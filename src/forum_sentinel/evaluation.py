@@ -174,18 +174,20 @@ def _fit_and_score(
     unigram_mode: str,
 ) -> tuple[ConfusionCounts, int, bool]:
     """Fit on one split and score its test side; the flag marks a training
-    split of one class, whose test threads all get that class unfitted."""
+    split of fewer than two classes, which is not fit: its test threads all
+    get the training class, or not-intervened when the split is empty."""
     vocabulary: Vocabulary | None = None
     if feature_config in LEXICAL_CONFIGS:
-        vocabulary = build_vocabulary(train_threads)
+        vocabulary = build_vocabulary(train_threads) if train_threads else Vocabulary(index={})
     kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
     classes = {label for _vec, label in train_data}
-    one_class = len(classes) == 1
-    fitted = None if one_class else train_model(train_data, train_config)
+    degenerate = len(classes) < 2
+    fitted = None if degenerate else train_model(train_data, train_config)
     test_data = vectorize(test_threads, feature_config, **kwargs)
-    pairs = [(label, max(classes) if one_class else predict(fitted, vec)) for vec, label in test_data]
-    return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0, one_class
+    fallback = max(classes, default=0)
+    pairs = [(label, fallback if degenerate else predict(fitted, vec)) for vec, label in test_data]
+    return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0, degenerate
 
 
 def _evaluate(
@@ -204,10 +206,10 @@ def _evaluate(
             _fit_and_score(train, test, feature_config, lexicon, train_config, tag_imports, unigram_mode)
             for train, test in splits
         ]
-        fold_counts, sizes, one_class = zip(*scored)
-        if any(one_class):
-            logger.warning("course %s: %d of %d training splits hold one class; their test threads get it",
-                           course_id, sum(one_class), len(scored))
+        fold_counts, sizes, degenerate = zip(*scored)
+        if any(degenerate):
+            logger.warning("course %s: %d of %d training splits hold one class or none; their test threads "
+                           "get that class, or not-intervened", course_id, sum(degenerate), len(scored))
         pooled = sum(fold_counts, ConfusionCounts())
         metrics = macro_average([prf1(c) for c in fold_counts]) if fold_mode == "mean" else prf1(pooled)
         per_course.append(CourseResult(course_id, n_threads, pooled, metrics, fold_counts, sizes))

@@ -6,6 +6,13 @@ discourse block derived from tagged connective senses, and ``eplusp`` is the
 union of the two blocks. All vectors are sparse maps from stable feature
 names to finite values.
 
+Cross-course evaluation vectorizes every thread once per fold, but a thread's
+lexical block depends on the fold only through the vocabulary. Beside the
+cached ``prepare_thread`` tokens, ``_lexical_profile`` therefore caches each
+thread's content-filtered unigram counts and its structural values once;
+``build_vocabulary`` reads its keys and each fold only filters the counts by
+its vocabulary. The cached values are shared and never mutated.
+
 The 25 discourse feature names, in frozen order: ``pdtb.total``; then for
 each sense (temporal, contingency, comparison, expansion) the pair
 ``pdtb.abs.<sense>`` (count / thread length) and ``pdtb.rel.<sense>``
@@ -17,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -65,6 +71,9 @@ PDTB_FEATURE_NAMES = tuple(
         for s2 in SENSES
     ]
 )
+# (abs, rel) names by sense ordinal; pair names by 4 * first ordinal + second
+_SENSE_NAMES = tuple(zip(PDTB_FEATURE_NAMES[1:9:2], PDTB_FEATURE_NAMES[2:9:2]))
+_PAIR_NAMES = PDTB_FEATURE_NAMES[9:]
 
 
 class FeatureSpace:
@@ -103,7 +112,9 @@ class FeatureVector:
     space: FeatureSpace
 
     def __post_init__(self):
-        for name, value in self.values.items():
+        if self.values.keys() <= self.space._index.keys() and all(map(math.isfinite, self.values.values())):
+            return
+        for name, value in self.values.items():  # name the first offending feature
             if name not in self.space:
                 raise ValueError(f"feature {name!r} not in space {self.space.provenance}")
             if not math.isfinite(value):
@@ -122,9 +133,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
 
 
 @lru_cache(maxsize=None)
@@ -145,14 +153,45 @@ def load_affirmations() -> tuple[str, ...]:
     return tuple(phrases)
 
 
+@lru_cache(maxsize=None)
+def _lexical_profile(thread: Thread) -> tuple[dict[str, int], dict[str, float]]:
+    """A thread's content-filtered unigram counts in first-occurrence order, and
+    its nonzero structural values in row order; shared, so never mutate them."""
+    tokenized = prepare_thread(thread)
+    unigrams: dict[str, int] = {}
+    for tok in tokenized:
+        for token in content_filter(tok.tokens):
+            unigrams[token] = unigrams.get(token, 0) + 1
+
+    values = {f"forum.{thread.subforum.value}": 1.0}
+    if _has_affirmation(thread, tokenized):
+        values["affirmation"] = 1.0
+    n_posts = sum(1 for p in thread.posts if not p.is_comment)
+    n_comments = len(thread.posts) - n_posts
+    if n_posts:
+        values["n_posts"] = float(n_posts)
+        values["avg_comments_per_post"] = n_comments / n_posts
+    if n_comments:
+        values["n_comments"] = float(n_comments)
+    if thread.posts:
+        values["n_posts_plus_comments"] = float(len(thread.posts))
+    n_sentences = sum(tok.n_sentences for tok in tokenized)
+    if n_sentences:
+        values["n_sentences"] = float(n_sentences)
+    for name, placeholder in (("n_url", "URL"), ("n_timeref", "TIMEREF")):
+        count = sum(tok.replaced_counts.get(placeholder, 0) for tok in tokenized)
+        if count:
+            values[name] = float(count)
+    return unigrams, values
+
+
 def build_vocabulary(training_threads: list[Thread]) -> Vocabulary:
     """Collect all distinct content-filtered tokens of the training threads."""
     if not training_threads:
         raise ValueError("cannot build a vocabulary from an empty training set")
     seen: set[str] = set()
     for thread in training_threads:
-        for tok in prepare_thread(thread):
-            seen.update(content_filter(tok.tokens))
+        seen.update(_lexical_profile(thread)[0])
     return Vocabulary(index={token: i for i, token in enumerate(sorted(seen))})
 
 
@@ -171,29 +210,30 @@ def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpa
 
 
 def _pdtb_values(taggings: list[PostDiscourse], thread_token_length: int) -> dict[str, float]:
-    sense_counts = Counter()
-    pair_counts = Counter()
+    sense_counts = [0] * len(SENSES)
+    pair_counts = [0] * len(_PAIR_NAMES)
     for disc in taggings:
-        seq = disc.senses()
-        sense_counts.update(seq)
-        pair_counts.update(zip(seq, seq[1:]))  # pairs never cross posts
-    total = sum(sense_counts.values())
+        prev = None  # pairs never cross posts
+        for tag in disc.tags:
+            ordinal = tag.sense.value
+            sense_counts[ordinal] += 1
+            if prev is not None:
+                pair_counts[len(SENSES) * prev + ordinal] += 1
+            prev = ordinal
+    total = sum(sense_counts)
     if total > 0 and thread_token_length <= 0:
         raise ValueError("thread_token_length must be positive when connectives are tagged")
-    total_pairs = sum(pair_counts.values())
+    total_pairs = sum(pair_counts)
     values: dict[str, float] = {}
     if total:
         values["pdtb.total"] = float(total)
-    for sense in SENSES:
-        count = sense_counts.get(sense, 0)
+    for (abs_name, rel_name), count in zip(_SENSE_NAMES, sense_counts):
         if count:
-            values[f"pdtb.abs.{sense.label.lower()}"] = count / thread_token_length
-            values[f"pdtb.rel.{sense.label.lower()}"] = count / total
-    for s1 in SENSES:
-        for s2 in SENSES:
-            count = pair_counts.get((s1, s2), 0)
-            if count:
-                values[f"pdtb.pair.{s1.label.lower()}.{s2.label.lower()}"] = count / total_pairs
+            values[abs_name] = count / thread_token_length
+            values[rel_name] = count / total
+    for name, count in zip(_PAIR_NAMES, pair_counts):
+        if count:
+            values[name] = count / total_pairs
     return values
 
 
@@ -214,43 +254,6 @@ def _has_affirmation(thread: Thread, tokenized: tuple[TokenizedPost, ...]) -> bo
     return False
 
 
-def _edm15_values(
-    thread: Thread,
-    tokenized: tuple[TokenizedPost, ...],
-    vocabulary: Vocabulary,
-    unigram_mode: str = "counts",
-) -> dict[str, float]:
-    values: dict[str, float] = {}
-    unigrams = Counter()
-    for tok in tokenized:
-        unigrams.update(t for t in content_filter(tok.tokens) if t in vocabulary)
-    for token, count in unigrams.items():
-        values[f"uni.{token}"] = 1.0 if unigram_mode == "binary" else float(count)
-
-    values[f"forum.{thread.subforum.value}"] = 1.0
-    if _has_affirmation(thread, tokenized):
-        values["affirmation"] = 1.0
-    n_posts = sum(1 for p in thread.posts if not p.is_comment)
-    n_comments = sum(1 for p in thread.posts if p.is_comment)
-    if n_posts:
-        values["n_posts"] = float(n_posts)
-        values["avg_comments_per_post"] = n_comments / n_posts
-    if n_comments:
-        values["n_comments"] = float(n_comments)
-    if thread.posts:
-        values["n_posts_plus_comments"] = float(len(thread.posts))
-    n_sentences = sum(tok.n_sentences for tok in tokenized)
-    if n_sentences:
-        values["n_sentences"] = float(n_sentences)
-    n_url = sum(tok.replaced_counts.get("URL", 0) for tok in tokenized)
-    n_timeref = sum(tok.replaced_counts.get("TIMEREF", 0) for tok in tokenized)
-    if n_url:
-        values["n_url"] = float(n_url)
-    if n_timeref:
-        values["n_timeref"] = float(n_timeref)
-    return values
-
-
 def vectorize(
     threads: list[Thread],
     config: str,
@@ -265,16 +268,24 @@ def vectorize(
     needs_discourse = config in DISCOURSE_CONFIGS
     if needs_discourse and lexicon is None and tag_imports is None:
         raise ValueError(f"config {config!r} requires a lexicon or imported tags")
+    binary = unigram_mode == "binary"
+    unigram_names = {}
+    if needs_lexical:  # rows share the space's name strings, in vocabulary order
+        unigram_names = dict(zip(sorted(vocabulary.index), space.names[len(STRUCTURAL_NAMES) :]))
 
     out: list[tuple[FeatureVector, int]] = []
     for thread in threads:
         if thread.label is None:
             raise ValueError(f"thread {thread.thread_id!r} is unlabeled; filter the corpus first")
-        tokenized = prepare_thread(thread)
         values: dict[str, float] = {}
         if needs_lexical:
-            values.update(_edm15_values(thread, tokenized, vocabulary, unigram_mode))
+            unigrams, structure = _lexical_profile(thread)
+            values = {
+                unigram_names[t]: 1.0 if binary else float(c) for t, c in unigrams.items() if t in unigram_names
+            }
+            values.update(structure)
         if needs_discourse:
+            tokenized = prepare_thread(thread)
             taggings = tag_thread(thread, list(tokenized), lexicon, imported=tag_imports)
             values.update(_pdtb_values(taggings, sum(tok.n_tokens for tok in tokenized)))
         label = 1 if thread.label is Label.INTERVENED else 0

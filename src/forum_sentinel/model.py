@@ -86,15 +86,11 @@ def _dataset_space(dataset: Dataset) -> FeatureSpace:
 
 
 def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np.ndarray]:
-    rows, cols, data = [], [], []
-    y = np.zeros(len(dataset))
-    for i, (vec, label) in enumerate(dataset):
-        y[i] = float(label)
-        # csr_matrix sorts each row by column, so dict order cannot move the bits
-        for name, value in vec.values.items():
-            rows.append(i)
-            cols.append(space.index(name))
-            data.append(value)
+    y = np.array([float(label) for _vec, label in dataset])
+    # csr_matrix sorts each row by column, so dict order cannot move the bits
+    rows = np.repeat(np.arange(len(dataset)), [len(vec.values) for vec, _label in dataset])
+    cols = [index for vec, _label in dataset for index in map(space.index, vec.values)]
+    data = [value for vec, _label in dataset for value in vec.values.values()]
     X = sp.csr_matrix((data, (rows, cols)), shape=(len(dataset), len(space)))
     return X, y
 

@@ -2,13 +2,16 @@
 
 Equations, URLs and clock-style timestamps are rewritten to the opaque
 placeholder tokens EQU / URL / TIMEREF before tokenization, so later stages
-never see unparsable math or links. The patterns below are frozen; the
-fixture file data/nonlexical_patterns.tsv pins their behavior.
+never see unparsable math or links. A placeholder that would touch a letter
+or digit gets a space on that side, so "10:30am" becomes "TIMEREF am", not
+the word "timerefam". The patterns below are frozen; the fixture file
+data/nonlexical_patterns.tsv pins their behavior.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
@@ -21,6 +24,8 @@ _TIME_RE = re.compile(r"(?<![\d:])\d{1,2}:\d{2}(?::\d{2})?(?![\d:])")
 # heuristic equation: a whitespace-delimited run with >=2 operator chars and a digit
 _RUN_RE = re.compile(r"\S+")
 _EQU_OPS = set("=+^/\\")
+# characters a placeholder would merge with into one token
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 _TERMINATORS = {".", "!", "?"}
@@ -59,9 +64,11 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     counts = {"EQU": 0, "URL": 0, "TIMEREF": 0}
 
     def sub(pattern: re.Pattern, token: str, s: str) -> str:
-        def repl(_m: re.Match) -> str:
+        def repl(m: re.Match) -> str:
             counts[token] += 1
-            return token
+            before = " " if s[m.start() - 1 : m.start()] in _WORD_CHARS else ""
+            after = " " if s[m.end() : m.end() + 1] in _WORD_CHARS else ""
+            return before + token + after
 
         return pattern.sub(repl, s)
 

@@ -12,6 +12,7 @@ from forum_sentinel.corpus import (
     filter_and_label,
     load_corpus,
 )
+from forum_sentinel.features import prepare_thread
 from forum_sentinel.syngen import GenSpec, generate_threads
 
 from conftest import make_thread, post_obj, record
@@ -170,3 +171,16 @@ def test_subforum_enumeration_closed():
     }
     with pytest.raises(ValueError):
         SubForumType("off-topic")
+
+
+def test_thread_hash_is_by_ids_and_equality_by_content():
+    a = make_thread(["student", "instructor"], texts=["alpha beta gamma", "noted"])
+    b = make_thread(["student", "instructor"], texts=["alpha beta gamma", "noted"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = make_thread(["student", "instructor"], texts=["delta epsilon zeta", "noted"])
+    assert (other.course_id, other.thread_id) == (a.course_id, a.thread_id)
+    assert other != a
+    # same ids, different text: separate prepare_thread cache entries
+    assert prepare_thread(a) is prepare_thread(b)
+    assert prepare_thread(other)[0].tokens == ("delta", "epsilon", "zeta")
+    assert prepare_thread(a)[0].tokens == ("alpha", "beta", "gamma")

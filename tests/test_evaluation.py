@@ -294,3 +294,28 @@ def test_single_class_training_split_is_scored_not_fatal(tmp_path, caplog, capsy
     argv = ["eval", "--corpus", str(corpus), "--features", "pdtb", "--regime", "in-domain",
             "--emit", "records", "--out", str(tmp_path / "o")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("config", ["pdtb", "eplusp"])
+def test_empty_training_split_is_scored_not_fatal(config, tmp_path, caplog, capsys):
+    # SYN-0 keeps one thread, so its only in-domain split trains on nothing
+    full = tmp_path / "full.jsonl"
+    generate(GenSpec(n_courses=2, threads_per_course=40, intervention_ratio=0.25,
+                     vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=3), full)
+    kept = min(t.thread_id for t in filter_and_label(load_corpus(full).threads) if t.course_id == "SYN-0")
+    records = [json.loads(line) for line in full.read_text("utf-8").splitlines()]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records
+                              if r["course_id"] != "SYN-0" or r["thread_id"] == kept), "utf-8")
+    threads = filter_and_label(load_corpus(corpus).threads)
+    with caplog.at_level(logging.WARNING, logger="forum_sentinel.evaluation"):
+        report = run_in_domain(threads, config, load_lexicon(), TrainConfig(), k=5, seed=0)
+    verify_report(report)
+    sparse = report.per_course[0]
+    assert (sparse.course_id, sparse.n_threads) == ("SYN-0", 1)
+    assert sparse.counts.total == 1
+    assert sparse.vocabulary_sizes == (0,)
+    assert "course SYN-0: 1 of 1 training splits hold one class or none" in caplog.text
+    argv = ["eval", "--corpus", str(corpus), "--features", config, "--regime", "in-domain",
+            "--emit", "records", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0

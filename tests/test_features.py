@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -10,10 +11,13 @@ from forum_sentinel.features import (
     STRUCTURAL_NAMES,
     FeatureVector,
     build_space,
+    _lexical_profile,
     build_vocabulary,
     pdtb_features,
     vectorize,
 )
+from forum_sentinel.corpus import filter_and_label
+from forum_sentinel.syngen import GenSpec, generate_threads
 
 from conftest import make_thread
 
@@ -260,6 +264,13 @@ def test_feature_vector_validation():
         FeatureVector({"nope": 1.0}, space)
     with pytest.raises(ValueError, match="non-finite"):
         FeatureVector({"pdtb.total": float("inf")}, space)
+    with pytest.raises(ValueError, match=re.escape("non-finite value for feature 'pdtb.total'")):
+        FeatureVector({"pdtb.total": float("nan")}, space)
+    # with two bad names the message names the first in row order, whichever check it fails
+    with pytest.raises(ValueError, match=re.escape("feature 'nope' not in space")):
+        FeatureVector({"pdtb.abs.temporal": 0.5, "nope": 1.0, "pdtb.total": float("nan")}, space)
+    with pytest.raises(ValueError, match=re.escape("non-finite value for feature 'pdtb.total'")):
+        FeatureVector({"pdtb.total": float("inf"), "nope": 1.0}, space)
 
 
 def test_edm15_space_order_is_stable():
@@ -267,3 +278,26 @@ def test_edm15_space_order_is_stable():
     space = build_space("edm15", build_vocabulary([t]))
     assert space.names[: len(STRUCTURAL_NAMES)] == STRUCTURAL_NAMES
     assert space.names[len(STRUCTURAL_NAMES) :] == ("uni.alpha", "uni.zeta")
+
+
+def _rows(data):
+    return [(list(vec.values.items()), label) for vec, label in data]
+
+
+@pytest.mark.parametrize("config, unigram_mode", [("edm15", "counts"), ("edm15", "binary"), ("eplusp", "counts")])
+def test_rows_do_not_depend_on_earlier_vocabularies(config, unigram_mode):
+    # the per-thread lexical profile is cached across folds; a fold must see only its own vocabulary
+    spec = GenSpec(n_courses=2, threads_per_course=30, intervention_ratio=0.3, vocabulary_disjointness=0.8,
+                   discourse_signal_strength=0.6, seed=5)
+    threads = filter_and_label(generate_threads(spec))
+    half = len(threads) // 2
+    vocab_a, vocab_b = build_vocabulary(threads[:half]), build_vocabulary(threads[half:])
+    assert vocab_a.index != vocab_b.index
+    kwargs = dict(lexicon=load_lexicon(), unigram_mode=unigram_mode)
+    first_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
+    under_b = _rows(vectorize(threads, config, vocabulary=vocab_b, **kwargs))
+    again_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
+    assert under_b != first_a
+    assert again_a == first_a  # same values dicts, same key order
+    _lexical_profile.cache_clear()
+    assert _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs)) == first_a

@@ -26,6 +26,8 @@ DIGESTS = {
     "featurize-edm15": "931ced8ead316715e2c2c0516e880134ef332c8f9888bab754d5d34d35a4be90",
     "featurize-pdtb": "44e43c8e99bdb640a668b629a47b5b91c354d1a9039cf574fae17c3665cfbcd5",
     "featurize-eplusp": "28e316fa400c37474f8f72a5c0bb3d152ac3d785dd587f4c205ee47fae02d396",
+    "eval-edm15-ccv+binary": "7c88bd07fc28e96e48e0aa5b474699b9154f670a40127cefae3b5f3bc1a8c5b1",
+    "eval-eplusp-in-domain+tags": "6588caa80332acfd2fb962d76854f5c5d28b381983dba1b79d936336ef6d3e24",
 }
 
 
@@ -41,10 +43,18 @@ def corpus(tmp_path_factory):
 
 
 def output_digest(name: str, corpus, out) -> str:
+    """Name: command-config[-regime][+binary|+tags]; +tags evaluates on the
+    `tag` output of the same corpus."""
+    name, _, extra = name.partition("+")
     command, config, *regime = name.split("-", 2)
     argv = [command, "--corpus", str(corpus), "--features", config, "--out", str(out)]
     if command == "eval":
         argv += ["--regime", regime[0], "--emit", "records"]
+    if extra == "binary":
+        argv += ["--unigrams", "binary"]
+    if extra == "tags":
+        assert main(["tag", "--corpus", str(corpus), "--out", str(out / "tag")]) == 0
+        argv += ["--tags", str(out / "tag" / "tags.tsv")]
     assert main(argv) == 0
     filename = "report.jsonl" if command == "eval" else "features.tsv"
     return hashlib.sha256((out / filename).read_bytes()).hexdigest()

@@ -71,6 +71,14 @@ class TestTokenize:
         assert "URL" in tok.tokens and "EQU" in tok.tokens and "TIMEREF" in tok.tokens
         assert tok.replaced_counts == {"EQU": 1, "URL": 1, "TIMEREF": 1}
 
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [("meet at 10:30am", ("meet", "at", "TIMEREF", "am")), ("$x+1$s", ("EQU", "s"))],
+        ids=["timeref-before-word", "equ-before-word"],
+    )
+    def test_placeholder_never_merges_with_a_word(self, text, tokens):
+        assert prepare_text(text).tokens == tokens
+
     def test_contractions_stay_whole(self):
         assert tokenize("you're right, I don't think so").tokens[0] == "you're"
 
