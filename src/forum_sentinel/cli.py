@@ -1,9 +1,10 @@
 """Command-line entry point: one binary, subcommand per pipeline stage.
 
 Subcommands: ingest, tag, featurize, train, eval, syngen. A JSON config file
-(--config) can pre-set any long flag; explicit flags win. The env var
-FORUM_SENTINEL_LOG sets the log level. Every subcommand writes byte-identical
-outputs for identical inputs and seed.
+(--config) can pre-set any optional flag, keyed by its long name with "_"
+for "-"; explicit flags win. The env var FORUM_SENTINEL_LOG sets the log
+level. Every subcommand writes byte-identical outputs for identical inputs
+and seed.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed input
 data (corpus, lexicon, tags, features or model file), 3 unexpected failure.
@@ -33,27 +34,22 @@ from .model import ModelFormatError, TrainConfig, save_model, train
 
 logger = logging.getLogger(__name__)
 
-_CONFIG_KEYS = (
-    "corpus", "lexicon", "tags", "features", "regime", "k", "seed", "l2",
-    "jobs", "emit", "out", "fold_metrics", "unigrams", "class_weights",
-    "max_iter", "tol",
-)
-
-
 def _setup_logging() -> None:
     level = os.environ.get("FORUM_SENTINEL_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Checked settings from the JSON config file, to become the subcommand's defaults."""
     obj = json.loads(Path(args.config).read_text("utf-8"))
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {
+        a.dest for p in subparsers.choices.values() for a in p._actions if a.option_strings and not a.required
+    } - {"help", "config"}
     for key, value in obj.items():
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         action = next((a for a in args.parser._actions if a.dest == key), None)
         try:  # a value must be what the flag itself would parse from its text
@@ -62,26 +58,22 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             valid = False
         if not valid:
             raise ValueError(f"config key {key!r} has an invalid value {value!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    return obj
 
 
 def _load_filtered(corpus_path: str):
-    result = load_corpus(corpus_path)
-    return filter_and_label(result.threads)
+    return filter_and_label(load_corpus(corpus_path).threads)
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    """Training settings from the flags that are set; TrainConfig owns the defaults."""
-    flags = dict(
+    return TrainConfig(
         l2_lambda=args.l2, max_iterations=args.max_iter, convergence_tol=args.tol,
         class_weight_mode=args.class_weights, seed=args.seed,
     )
-    return TrainConfig(**{field: value for field, value in flags.items() if value is not None})
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out if args.out is not None else ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -122,30 +114,24 @@ def cmd_tag(args) -> int:
     return 0
 
 
-def _format_feature_record(course_id, thread_id, label, vec: FeatureVector) -> str:
-    cells = [course_id, thread_id, "intervened" if label else "not_intervened"]
-    cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
-    return "\t".join(cells)
-
-
 def cmd_featurize(args) -> int:
     threads = _load_filtered(args.corpus)
-    config = args.features or "eplusp"
-    lexicon = load_lexicon(args.lexicon) if config in features.DISCOURSE_CONFIGS else None
+    lexicon = load_lexicon(args.lexicon) if args.features in features.DISCOURSE_CONFIGS else None
     imports = load_tag_import(args.tags) if args.tags else None
-    unigram_mode = args.unigrams or "counts"
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
-    vocabulary = build_vocabulary(threads) if config in features.LEXICAL_CONFIGS else None
+    vocabulary = build_vocabulary(threads) if args.features in features.LEXICAL_CONFIGS else None
     data = vectorize(
-        threads, config,
+        threads, args.features,
         vocabulary=vocabulary, lexicon=lexicon,
-        tag_imports=imports, unigram_mode=unigram_mode,
+        tag_imports=imports, unigram_mode=args.unigrams,
     )
-    space = features.build_space(config, vocabulary)
-    lines = ["#space\t" + "\t".join((config,) + space.names)]
+    space = features.build_space(args.features, vocabulary)
+    lines = ["#space\t" + "\t".join((args.features,) + space.names)]
     for thread, (vec, label) in zip(threads, data):
-        lines.append(_format_feature_record(thread.course_id, thread.thread_id, label, vec))
+        cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
+        cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
+        lines.append("\t".join(cells))
     out = _out_dir(args) / "features.tsv"
     out.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {out} ({len(threads)} threads, {len(space)} dims)")
@@ -199,33 +185,26 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     threads = _load_filtered(args.corpus)
-    config = args.features or "eplusp"
-    lexicon = load_lexicon(args.lexicon) if config in features.DISCOURSE_CONFIGS else None
+    lexicon = load_lexicon(args.lexicon) if args.features in features.DISCOURSE_CONFIGS else None
     imports = load_tag_import(args.tags) if args.tags else None
     train_config = _train_config(args)
-    regime = args.regime or "in-domain"
-    unigram_mode = args.unigrams or "counts"
-    if regime == "in-domain":
+    if args.regime == "in-domain":
         report = evaluation.run_in_domain(
-            threads, config, lexicon, train_config,
-            k=args.k if args.k is not None else 5,
-            seed=train_config.seed,
-            fold_mode=args.fold_metrics or "pooled",
-            tag_imports=imports,
-            unigram_mode=unigram_mode,
+            threads, args.features, lexicon, train_config,
+            k=args.k, seed=train_config.seed, fold_mode=args.fold_metrics,
+            tag_imports=imports, unigram_mode=args.unigrams,
         )
     else:
         report = evaluation.run_loo_ccv(
-            threads, config, lexicon, train_config,
-            tag_imports=imports, unigram_mode=unigram_mode,
+            threads, args.features, lexicon, train_config,
+            tag_imports=imports, unigram_mode=args.unigrams,
         )
-    emit = args.emit or "table"
     renderers = {
         "table": (evaluation.render_table, "report.txt"),
         "csv": (evaluation.render_csv, "report.csv"),
         "records": (evaluation.render_records, "report.jsonl"),
     }
-    render, filename = renderers[emit]
+    render, filename = renderers[args.emit]
     text = render(report)
     out = _out_dir(args) / filename
     out.write_bytes(text.encode("utf-8"))
@@ -243,68 +222,48 @@ def cmd_syngen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each shared flag group is one parent parser. Its actions are shared by
+    # every child, so set_defaults on one subcommand reaches all: build anew per run.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="JSON config file; keys are optional flag names, and flags override it")
+    run.add_argument("--out", default=".", help="output directory (default: cwd)")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", help="line-delimited corpus file (required, as a flag or config key)")
+    discourse = argparse.ArgumentParser(add_help=False)
+    discourse.add_argument("--lexicon", help="connective lexicon (default: shipped)")
+    discourse.add_argument("--tags", help="tag-import file; echoed verbatim when given")
+    vectors = argparse.ArgumentParser(add_help=False)
+    vectors.add_argument("--features", choices=features.FEATURE_CONFIGS, default="eplusp")
+    vectors.add_argument("--unigrams", choices=("counts", "binary"), default="counts")
+    vectors.add_argument("--jobs", type=int, default=1, help="accepted so featurize and eval share a config; no effect")
+    defaults = TrainConfig()
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--l2", type=float, default=defaults.l2_lambda)
+    fit.add_argument("--max-iter", type=int, default=defaults.max_iterations, help="cap on Newton iterations per fit")
+    fit.add_argument("--tol", type=float, default=defaults.convergence_tol, help="converged at gradient inf-norm <= it")
+    fit.add_argument("--class-weights", choices=("none", "neg_over_pos"), default=defaults.class_weight_mode)
+    fit.add_argument("--seed", type=int, default=defaults.seed)
+
     parser = argparse.ArgumentParser(prog="forum-sentinel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_corpus=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.set_defaults(parser=p)
-        if needs_corpus:
-            p.add_argument("--corpus", help="line-delimited corpus file")
-        p.add_argument("--out", help="output directory (default: cwd)")
+    def add(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[run, *parents])
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("ingest", help="print per-course intervention counts")
-    add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("tag", help="tag connectives; write tag file + sense distribution")
-    add_common(p)
-    p.add_argument("--lexicon", help="connective lexicon (default: shipped)")
-    p.add_argument("--tags", help="tag-import file; echoed verbatim when given")
-    p.set_defaults(func=cmd_tag)
-
-    p = sub.add_parser("featurize", help="dump feature vectors for a corpus")
-    add_common(p)
-    p.add_argument("--lexicon")
-    p.add_argument("--tags")
-    p.add_argument("--features", choices=features.FEATURE_CONFIGS)
-    p.add_argument("--unigrams", choices=("counts", "binary"))
-    p.add_argument("--jobs", type=int, help="accepted for config sharing with eval; no effect here")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="train a model from a feature dump")
-    add_common(p, needs_corpus=False)
+    add("ingest", cmd_ingest, "print per-course intervention counts", corpus)
+    add("tag", cmd_tag, "tag connectives; write tag file + sense distribution", corpus, discourse)
+    add("featurize", cmd_featurize, "dump feature vectors for a corpus", corpus, discourse, vectors)
+    p = add("train", cmd_train, "train a model from a feature dump", fit)
     p.add_argument("--features-file", required=True, help="dump from `featurize`")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--max-iter", type=int, help="cap on trust-region Newton iterations per fit")
-    p.add_argument("--tol", type=float, help="a fit has converged when its gradient inf-norm is <= this")
-    p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="run an evaluation regime and write a report")
-    add_common(p)
-    p.add_argument("--lexicon")
-    p.add_argument("--tags")
-    p.add_argument("--features", choices=features.FEATURE_CONFIGS)
-    p.add_argument("--unigrams", choices=("counts", "binary"))
-    p.add_argument("--regime", choices=("in-domain", "ccv"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--fold-metrics", choices=("pooled", "mean"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--max-iter", type=int, help="cap on trust-region Newton iterations per fit")
-    p.add_argument("--tol", type=float, help="a fit has converged when its gradient inf-norm is <= this")
-    p.add_argument("--class-weights", choices=("none", "neg_over_pos"))
-    p.add_argument("--jobs", type=int, help="accepted for config sharing with featurize; no effect")
-    p.add_argument("--emit", choices=("table", "csv", "records"))
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("syngen", help="generate a synthetic corpus from a spec file")
-    add_common(p, needs_corpus=False)
+    p = add("eval", cmd_eval, "run an evaluation regime and write a report", corpus, discourse, vectors, fit)
+    p.add_argument("--regime", choices=("in-domain", "ccv"), default="in-domain")
+    p.add_argument("--k", type=int, default=5, help="in-domain folds per course")
+    p.add_argument("--fold-metrics", choices=("pooled", "mean"), default="pooled")
+    p.add_argument("--emit", choices=("table", "csv", "records"), default="table")
+    p = add("syngen", cmd_syngen, "generate a synthetic corpus from a spec file")
     p.add_argument("--spec", required=True, help="JSON generation spec")
-    p.set_defaults(func=cmd_syngen)
-
     return parser
 
 
@@ -316,15 +275,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return 0 if exc.code == 0 else 1
     try:
-        _apply_config_file(args)
+        if args.config:
+            args.parser.set_defaults(**_config_defaults(parser, args))
+            args = parser.parse_args(argv)
         if getattr(args, "corpus", "_") is None:
             print(f"error: {args.command} requires --corpus (flag or config file)", file=sys.stderr)
             return 1
         return args.func(args)
-    except (CorpusFormatError, LexiconError, ModelFormatError, FeatureDumpError, syngen.GenError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (
+        CorpusFormatError, LexiconError, ModelFormatError, FeatureDumpError, syngen.GenError,
+        FileNotFoundError, IsADirectoryError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -87,7 +87,8 @@ def stratified_kfold(threads: list[Thread], k: int = 5, seed: int = 0) -> list[l
     """Split threads into k folds with per-class counts differing by at most 1.
 
     The split is a function of the thread identities and the seed only, so
-    permuting the input order cannot change the folds.
+    permuting the input order cannot change the folds. A k above the thread
+    count returns as many folds as threads, since the rest would be empty.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -99,7 +100,7 @@ def stratified_kfold(threads: list[Thread], k: int = 5, seed: int = 0) -> list[l
     rng.shuffle(neg)
     if 0 < len(pos) < k:
         logger.warning("only %d positives for %d folds; some folds get none", len(pos), k)
-    folds: list[list[Thread]] = [[] for _ in range(k)]
+    folds: list[list[Thread]] = [[] for _ in range(min(k, len(ordered)))]
     for i, thread in enumerate(pos):
         folds[i % k].append(thread)
     for i, thread in enumerate(neg):

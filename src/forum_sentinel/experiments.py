@@ -78,23 +78,15 @@ def run_domain_shift(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the domain-shift experiment")
-    parser.add_argument("--courses", type=int, default=4)
-    parser.add_argument("--threads-per-course", type=int, default=160)
-    parser.add_argument("--ratio", type=float, default=0.25)
-    parser.add_argument("--disjointness", type=float, default=1.0)
-    parser.add_argument("--signal", type=float, default=0.9)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    result = run_domain_shift(
-        n_courses=args.courses,
-        threads_per_course=args.threads_per_course,
-        intervention_ratio=args.ratio,
-        vocabulary_disjointness=args.disjointness,
-        discourse_signal_strength=args.signal,
-        seed=args.seed,
-    )
-    print(result.summary())
+    # flags left unset are absent from args, so run_domain_shift's own defaults apply
+    parser = argparse.ArgumentParser(description="Run the domain-shift experiment", argument_default=argparse.SUPPRESS)
+    parser.add_argument("--courses", type=int, dest="n_courses")
+    parser.add_argument("--threads-per-course", type=int)
+    parser.add_argument("--ratio", type=float, dest="intervention_ratio")
+    parser.add_argument("--disjointness", type=float, dest="vocabulary_disjointness")
+    parser.add_argument("--signal", type=float, dest="discourse_signal_strength")
+    parser.add_argument("--seed", type=int)
+    print(run_domain_shift(**vars(parser.parse_args(argv))).summary())
     return 0
 
 

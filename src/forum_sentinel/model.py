@@ -323,8 +323,8 @@ def load_model(path: str | Path) -> MaxentModel:
 
     def parse_kv(line: str, tag: str) -> dict[str, str]:
         parts = line.split("\t")
-        if parts[0] != tag:
-            raise ModelFormatError(f"expected {tag!r} line at byte {at()}")
+        if parts[0] != tag or not all("=" in p for p in parts[1:]):
+            raise ModelFormatError(f"expected {tag!r} line of key=value cells at byte {at()}")
         return dict(p.split("=", 1) for p in parts[1:])
 
     cfg_kv = parse_kv(reader.next_line("config line"), "config")
@@ -339,8 +339,11 @@ def load_model(path: str | Path) -> MaxentModel:
         )
         if cfg_kv["standardize"] != "0":
             raise ValueError(f"unsupported standardize={cfg_kv['standardize']}")
+        if fit_kv["converged"] not in ("0", "1"):
+            raise ValueError(f"converged={fit_kv['converged']} is not 0 or 1")
+        class_weight_value, n_iterations = float(fit_kv["class_weight"]), int(fit_kv["n_iterations"])
     except (KeyError, ValueError) as exc:
-        raise ModelFormatError(f"bad config line ({exc}) before byte {at()}") from None
+        raise ModelFormatError(f"bad config or fit line ({exc}) before byte {at()}") from None
 
     space_line = reader.next_line("space line").split("\t")
     if len(space_line) != 4 or space_line[0] != "space":
@@ -381,7 +384,7 @@ def load_model(path: str | Path) -> MaxentModel:
         bias=bias,
         feature_space=space,
         train_config=config,
-        class_weight_value=float(fit_kv.get("class_weight", 1.0)),
-        converged=bool(int(fit_kv.get("converged", 1))),
-        n_iterations=int(fit_kv.get("n_iterations", 0)),
+        class_weight_value=class_weight_value,
+        converged=fit_kv["converged"] == "1",
+        n_iterations=n_iterations,
     )

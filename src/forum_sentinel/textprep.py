@@ -2,10 +2,11 @@
 
 Equations, URLs and clock-style timestamps are rewritten to the opaque
 placeholder tokens EQU / URL / TIMEREF before tokenization, so later stages
-never see unparsable math or links. A placeholder that would touch a letter
-or digit gets a space on that side, so "10:30am" becomes "TIMEREF am", not
-the word "timerefam". The patterns below are frozen; the fixture file
-data/nonlexical_patterns.tsv pins their behavior.
+never see unparsable math or links. A placeholder that would touch a letter,
+digit or apostrophe gets a space on that side, so "10:30am" becomes
+"TIMEREF am", not the word "timerefam", and "10:30's" becomes "TIMEREF 's".
+The patterns below are frozen; the fixture file data/nonlexical_patterns.tsv
+pins their behavior.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ _TIME_RE = re.compile(r"(?<![\d:])\d{1,2}:\d{2}(?::\d{2})?(?![\d:])")
 # heuristic equation: a whitespace-delimited run with >=2 operator chars and a digit
 _RUN_RE = re.compile(r"\S+")
 _EQU_OPS = set("=+^/\\")
-# characters a placeholder would merge with into one token
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
+# characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 _TERMINATORS = {".", "!", "?"}

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from forum_sentinel.cli import load_feature_dump, main
 from forum_sentinel.model import load_model
@@ -176,8 +179,10 @@ class TestConfigAndErrors:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"corpse": "x"}))
-        assert main(["ingest", "--config", str(cfg), "--corpus", "anything"]) == 1
+        for key in ("corpse", "spec", "features_file", "config", "help"):  # required flags and --config/--help too
+            cfg.write_text(json.dumps({key: "x"}))
+            assert main(["ingest", "--config", str(cfg), "--corpus", "anything"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
 
     @pytest.mark.parametrize(
         "setting", [{"k": "3"}, {"l2": "x"}, {"features": "bogus"}], ids=["k-string", "l2-not-float", "features-unknown"]
@@ -255,3 +260,61 @@ class TestConfigAndErrors:
         argv = ["tag", "--corpus", str(small_corpus), "--out", str(tmp_path / "o"), flag, str(path)]
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("error: ")
+
+
+_CONFIG_KEYS = (
+    "corpus", "lexicon", "tags", "features", "regime", "k", "seed", "l2",
+    "jobs", "emit", "out", "fold_metrics", "unigrams", "class_weights", "max_iter", "tol",
+)
+# no "/" in generated text, so a config path stays inside the test's working directory
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=8)
+    | st.sampled_from(["pdtb", "edm15", "ccv", "mean", "binary", "records", "none", "corpus.jsonl"])
+    | st.integers(-3, 8).map(str)
+)
+_json_values = _json_scalars | st.lists(_json_scalars, max_size=3)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    config=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _json_values, max_size=2)
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=6), _json_values, max_size=4)
+    | _json_values
+)
+def test_config_file_fuzz_never_internal_error(config, small_corpus, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the corpus is here too, so a config path may name it
+    (tmp_path / "run.json").write_text(json.dumps(config), "utf-8")
+    argv = ["eval", "--config", str(tmp_path / "run.json"), "--corpus", str(small_corpus), "--out", str(tmp_path / "o")]
+    assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("features", ["pdtb", "edm15"])
+def test_config_file_and_flags_give_the_same_report(features, syn_corpus, tmp_path):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_bytes(resources.files("forum_sentinel.data").joinpath("connectives.tsv").read_bytes())
+    assert main(["tag", "--corpus", str(syn_corpus), "--out", str(tmp_path / "t")]) == 0
+    nondefault = {  # every eval setting away from its default
+        "corpus": str(syn_corpus), "lexicon": str(lexicon), "tags": str(tmp_path / "t" / "tags.tsv"),
+        "features": features, "unigrams": "binary", "jobs": 2, "regime": "in-domain", "k": 3,
+        "fold_metrics": "mean", "seed": 5, "l2": 0.01, "max_iter": 40, "tol": 1e-05,
+        "class_weights": "none", "emit": "csv",
+    }
+    conflicting = dict(
+        corpus="missing.jsonl", lexicon="missing.tsv", tags="missing.tsv", features="eplusp", unigrams="counts",
+        jobs=1, regime="ccv", k=4, fold_metrics="pooled", seed=9, l2=0.5, max_iter=7, tol=0.1,
+        class_weights="neg_over_pos", emit="records", out=str(tmp_path / "elsewhere"),
+    )
+
+    def flags(out):
+        return [f"--{key.replace('_', '-')}={value}" for key, value in {**nondefault, "out": out}.items()]
+
+    def config(name, values):
+        (tmp_path / name).write_text(json.dumps(values), "utf-8")
+        return ["--config", str(tmp_path / name)]
+
+    assert main(["eval", *flags(tmp_path / "flags")]) == 0
+    assert main(["eval", *config("all.json", {**nondefault, "out": str(tmp_path / "config")})]) == 0
+    assert main(["eval", *config("conflicting.json", conflicting), *flags(tmp_path / "both")]) == 0  # flags win
+    reports = [(tmp_path / name / "report.csv").read_bytes() for name in ("flags", "config", "both")]
+    assert reports[0] == reports[1] == reports[2]

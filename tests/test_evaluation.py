@@ -150,6 +150,12 @@ class TestStratifiedKfold:
         per_fold = [sum(1 for t in f if t.label is Label.INTERVENED) for f in folds]
         assert sum(per_fold) == 2 and 0 in per_fold
 
+    def test_k_above_thread_count_gives_one_fold_per_thread(self):
+        threads = self._course(2, 3)
+        folds = stratified_kfold(threads, k=10**12, seed=0)  # would not fit in memory as empty lists
+        assert len(folds) == 5
+        assert sorted(t.thread_id for f in folds for t in f) == sorted(t.thread_id for t in threads)
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             stratified_kfold(self._course(2, 2), k=1)

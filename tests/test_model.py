@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -384,4 +385,28 @@ class TestSaveLoad:
         assert "\tstandardize=0\n" in text
         path.write_text(text.replace("\tstandardize=0\n", "\tstandardize=1\n"), "utf-8")
         with pytest.raises(ModelFormatError, match="standardize=1"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "pattern, new",
+        [
+            (r"^fit\t.*$", "fit"),
+            ("\tclass_weight=", "\tcw="),
+            ("\tn_iterations=", "\tn="),
+            ("\tconverged=1\t", "\tconverged=x\t"),
+            ("\tconverged=1\t", "\tconverged=2\t"),
+            ("\tconverged=1\t", "\tconverged\t"),
+            ("\tseed=0\t", "\tseed\t"),
+        ],
+        ids=["bare-fit-line", "no-class-weight", "no-n-iterations", "converged-not-int", "converged-2",
+             "fit-cell-no-equals", "config-cell-no-equals"],
+    )
+    def test_malformed_fit_or_config_line_names_byte_offset(self, pattern, new, tmp_path):
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        text, n = re.subn(pattern, new, path.read_text("utf-8"), count=1, flags=re.MULTILINE)
+        assert n == 1
+        path.write_text(text, "utf-8")
+        with pytest.raises(ModelFormatError, match=r"byte \d+"):
             load_model(path)

@@ -73,8 +73,13 @@ class TestTokenize:
 
     @pytest.mark.parametrize(
         "text, tokens",
-        [("meet at 10:30am", ("meet", "at", "TIMEREF", "am")), ("$x+1$s", ("EQU", "s"))],
-        ids=["timeref-before-word", "equ-before-word"],
+        [
+            ("meet at 10:30am", ("meet", "at", "TIMEREF", "am")),
+            ("$x+1$s", ("EQU", "s")),
+            ("meet at 10:30's end", ("meet", "at", "TIMEREF", "'", "s", "end")),
+            ("x$a+b$'s", ("x", "EQU", "'", "s")),
+        ],
+        ids=["timeref-before-word", "equ-before-word", "timeref-before-apostrophe", "equ-before-apostrophe"],
     )
     def test_placeholder_never_merges_with_a_word(self, text, tokens):
         assert prepare_text(text).tokens == tokens
