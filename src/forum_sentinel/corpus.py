@@ -133,13 +133,15 @@ def parse_rfc3339(value: str) -> datetime:
 
 
 def _parse_post(obj: dict, line_no: int) -> Post:
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"line {line_no}: post is not an object")
     try:
         role = AuthorRole(obj["role"])
     except ValueError:
         raise CorpusFormatError(
             f"line {line_no}: unknown author role {obj.get('role')!r}"
         ) from None
-    except (KeyError, TypeError):
+    except KeyError:
         raise CorpusFormatError(f"line {line_no}: post missing 'role'") from None
     if not isinstance(obj.get("text", ""), str):
         raise CorpusFormatError(f"line {line_no}: post text is not a string")
@@ -156,7 +158,7 @@ def _parse_post(obj: dict, line_no: int) -> Post:
         )
     except KeyError as exc:
         raise CorpusFormatError(f"line {line_no}: post missing {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an offset pushes the time out of range
         raise CorpusFormatError(f"line {line_no}: bad post field ({exc})") from None
 
 
@@ -171,6 +173,8 @@ def _parse_record(line: str, line_no: int) -> tuple[Thread, bool]:
     for key in ("course_id", "thread_id", "subforum", "posts"):
         if key not in obj:
             raise CorpusFormatError(f"line {line_no}: record missing '{key}'")
+    if not isinstance(obj["posts"], list):
+        raise CorpusFormatError(f"line {line_no}: posts is not a list")
     try:
         subforum = SubForumType(obj["subforum"])
     except ValueError:

@@ -249,7 +249,7 @@ def run_in_domain(
         plan.append((cid, len(course_threads), splits))
     return _evaluate(
         "in-domain", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode,
-        fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode},
+        fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode, "seed": seed},  # seed split the folds
     )
 
 

@@ -12,7 +12,8 @@ are cross-checks, and with lambda>0 all three must agree on the unique optimum.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -41,12 +42,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and nonnegative, not {self.l2_lambda}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise ValueError(f"convergence_tol must be finite and positive, not {self.convergence_tol}")
         if self.class_weight_mode not in ("none", "neg_over_pos"):
             raise ValueError(f"unknown class_weight_mode {self.class_weight_mode!r}")
 
@@ -95,54 +96,28 @@ def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np
     return X, y
 
 
-def _derive_class_weight(y: np.ndarray, config: TrainConfig) -> float:
-    if config.class_weight_mode == "none":
-        return 1.0
+def _sample_weight(y: np.ndarray, config: TrainConfig) -> tuple[float, np.ndarray]:
+    """The positive-loss multiplier and the per-example weights it gives."""
     n_pos = int(y.sum())
-    return class_weight(n_pos, len(y) - n_pos)
+    cw = 1.0 if config.class_weight_mode == "none" else class_weight(n_pos, len(y) - n_pos)
+    return cw, np.where(y == 1.0, cw, 1.0)
 
 
-def _loss_grad_arrays(
-    w: np.ndarray,
-    b: float,
-    X: sp.csr_matrix,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
-    lam: float,
-) -> tuple[float, np.ndarray, float]:
-    z = X @ w + b
-    # log(1 + e^z) - y z, elementwise-stable
-    nll = np.logaddexp(0.0, z) - y * z
-    loss = float(sample_weight @ nll + 0.5 * lam * (w @ w))
-    residual = sample_weight * (expit(z) - y)
-    grad_w = X.T @ residual + lam * w
-    grad_b = float(residual.sum())
-    return loss, grad_w, grad_b
-
-
-def loss_and_gradient(
-    model: MaxentModel,
-    dataset: Dataset,
-    config: TrainConfig,
-    class_weight_override: float | None = None,
-) -> tuple[float, dict[str, float], float]:
-    """Exact loss and gradient of the weighted objective at the model's point."""
-    space = _dataset_space(dataset)
-    if space != model.feature_space:
-        raise ValueError("dataset feature space differs from the model's")
-    X, y = _to_arrays(dataset, space)
-    cw = class_weight_override if class_weight_override is not None else _derive_class_weight(y, config)
-    sample_weight = np.where(y == 1.0, cw, 1.0)
-    loss, grad_w, grad_b = _loss_grad_arrays(
-        model.weight_vector(), model.bias, X, y, sample_weight, config.l2_lambda
-    )
-    grad = {name: float(g) for name, g in zip(space.names, grad_w)}
-    return loss, grad, grad_b
-
-
-def _hessian_product(X: sp.csr_matrix, sample_weight: np.ndarray, lam: float):
-    """Exact Hessian-vector product; D = sw·p(1−p) is computed once per point θ."""
+def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: float):
+    """The weighted objective over theta = (w, b): ``fun(theta) -> (loss, gradient)``
+    and the exact Hessian-vector product ``hessp(theta, v)``, whose D = sw·p(1−p)
+    is computed once per point theta.
+    """
     at: dict = {"theta": None}
+
+    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        w = theta[:-1]
+        z = X @ w + theta[-1]
+        # log(1 + e^z) - y z, elementwise-stable
+        nll = np.logaddexp(0.0, z) - y * z
+        loss = float(sample_weight @ nll + 0.5 * lam * (w @ w))
+        residual = sample_weight * (expit(z) - y)
+        return loss, np.append(X.T @ residual + lam * w, residual.sum())
 
     def hessp(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, at["theta"]):
@@ -151,7 +126,20 @@ def _hessian_product(X: sp.csr_matrix, sample_weight: np.ndarray, lam: float):
         u = at["d"] * (X @ v[:-1] + v[-1])
         return np.append(X.T @ u + lam * v[:-1], u.sum())
 
-    return hessp
+    return fun, hessp
+
+
+def loss_and_gradient(
+    model: MaxentModel, dataset: Dataset, config: TrainConfig
+) -> tuple[float, dict[str, float], float]:
+    """Exact loss and gradient of the weighted objective at the model's point."""
+    space = _dataset_space(dataset)
+    if space != model.feature_space:
+        raise ValueError("dataset feature space differs from the model's")
+    X, y = _to_arrays(dataset, space)
+    fun, _hessp = _objective(X, y, _sample_weight(y, config)[1], config.l2_lambda)
+    loss, grad = fun(np.append(model.weight_vector(), model.bias))
+    return loss, dict(zip(space.names, grad[:-1].tolist())), float(grad[-1])
 
 
 def _optimize_newton(fun, hessp, theta0, max_iterations, tol):
@@ -213,17 +201,9 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("training data must contain both classes")
-    cw = _derive_class_weight(y, config)
-    sample_weight = np.where(y == 1.0, cw, 1.0)
-
-    def fun(theta: np.ndarray):
-        loss, grad_w, grad_b = _loss_grad_arrays(
-            theta[:-1], theta[-1], X, y, sample_weight, config.l2_lambda
-        )
-        return loss, np.append(grad_w, grad_b)
-
+    cw, sample_weight = _sample_weight(y, config)
+    fun, hessp = _objective(X, y, sample_weight, config.l2_lambda)
     theta0 = np.zeros(X.shape[1] + 1)
-    hessp = _hessian_product(X, sample_weight, config.l2_lambda)
     theta, n_iter = _OPTIMIZERS[method](fun, hessp, theta0, config.max_iterations, config.convergence_tol)
     _loss, final_grad = fun(theta)
     grad_inf = float(np.max(np.abs(final_grad))) if final_grad.size else 0.0
@@ -266,20 +246,13 @@ def _fmt(x: float) -> str:
 
 def save_model(model: MaxentModel, path: str | Path) -> None:
     """Serialize to the versioned text format (17 significant digits)."""
-    cfg = model.train_config
+    settings = [
+        f"{f.name}={(_fmt if isinstance(f.default, float) else str)(getattr(model.train_config, f.name))}"
+        for f in fields(TrainConfig)
+    ]
     lines = [
         MODEL_FORMAT_HEADER,
-        "config\t"
-        + "\t".join(
-            [
-                f"l2_lambda={_fmt(cfg.l2_lambda)}",
-                f"max_iterations={cfg.max_iterations}",
-                f"convergence_tol={_fmt(cfg.convergence_tol)}",
-                f"class_weight_mode={cfg.class_weight_mode}",
-                f"seed={cfg.seed}",
-                "standardize=0",  # kept so model files stay format-compatible
-            ]
-        ),
+        "config\t" + "\t".join(settings + ["standardize=0"]),  # kept so model files stay format-compatible
         "fit\t"
         + "\t".join(
             [
@@ -309,7 +282,10 @@ class _LineReader:
             raise ModelFormatError(
                 f"truncated model file: unterminated {what} at byte {self.offset}"
             )
-        line = self.raw[self.offset : end].decode("utf-8")
+        try:
+            line = self.raw[self.offset : end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{what} at byte {self.offset} is not UTF-8") from None
         self.offset = end + 1
         return line
 
@@ -330,13 +306,7 @@ def load_model(path: str | Path) -> MaxentModel:
     cfg_kv = parse_kv(reader.next_line("config line"), "config")
     fit_kv = parse_kv(reader.next_line("fit line"), "fit")
     try:
-        config = TrainConfig(
-            l2_lambda=float(cfg_kv["l2_lambda"]),
-            max_iterations=int(cfg_kv["max_iterations"]),
-            convergence_tol=float(cfg_kv["convergence_tol"]),
-            class_weight_mode=cfg_kv["class_weight_mode"],
-            seed=int(cfg_kv["seed"]),
-        )
+        config = TrainConfig(**{f.name: type(f.default)(cfg_kv[f.name]) for f in fields(TrainConfig)})
         if cfg_kv["standardize"] != "0":
             raise ValueError(f"unsupported standardize={cfg_kv['standardize']}")
         if fit_kv["converged"] not in ("0", "1"):
@@ -360,6 +330,8 @@ def load_model(path: str | Path) -> MaxentModel:
         parts = reader.next_line("weight line").split("\t")
         if len(parts) != 3 or parts[0] != "w":
             raise ModelFormatError(f"expected weight line at byte {at()}")
+        if parts[1] in weights:
+            raise ModelFormatError(f"duplicate weight line for {parts[1]!r} before byte {at()}")
         try:
             weights[parts[1]] = float(parts[2])
         except ValueError:

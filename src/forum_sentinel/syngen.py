@@ -18,9 +18,10 @@ all.
 from __future__ import annotations
 
 import json
+import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import Thread, _parse_record
@@ -43,6 +44,10 @@ class GenError(ValueError):
     """Raised for invalid or infeasible generation specs."""
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GenSpec:
     n_courses: int
@@ -53,18 +58,22 @@ class GenSpec:
     seed: int
 
     def __post_init__(self):
+        if not all(type(n) is int for n in (self.n_courses, self.threads_per_course, self.seed)):
+            raise GenError("n_courses, threads_per_course and seed must be integers")
         if self.n_courses < 1 or self.threads_per_course < 1:
             raise GenError("counts must be positive")
         for p in (self.vocabulary_disjointness, self.discourse_signal_strength):
-            if not 0.0 <= p <= 1.0:
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
                 raise GenError("probabilities must lie in [0, 1]")
         for r in self.ratios():
-            if r < 0:
-                raise GenError("intervention ratios must be nonnegative")
+            if not (math.isfinite(r) and r >= 0):
+                raise GenError("intervention ratios must be finite and nonnegative")
 
     def ratios(self) -> tuple[float, ...]:
-        if isinstance(self.intervention_ratio, (int, float)):
+        if _is_real(self.intervention_ratio):
             return (float(self.intervention_ratio),) * self.n_courses
+        if not (isinstance(self.intervention_ratio, (tuple, list)) and all(map(_is_real, self.intervention_ratio))):
+            raise GenError("intervention_ratio must be a number or a list of numbers")
         ratios = tuple(float(r) for r in self.intervention_ratio)
         if len(ratios) != self.n_courses:
             raise GenError("need one intervention ratio per course")
@@ -72,21 +81,20 @@ class GenSpec:
 
 
 def load_genspec(path: str | Path) -> GenSpec:
-    obj = json.loads(Path(path).read_text("utf-8"))
+    """Read a JSON generation spec; one that is malformed raises GenError."""
     try:
-        ratio = obj["intervention_ratio"]
-        if isinstance(ratio, list):
-            ratio = tuple(ratio)
-        return GenSpec(
-            n_courses=int(obj["n_courses"]),
-            threads_per_course=int(obj["threads_per_course"]),
-            intervention_ratio=ratio,
-            vocabulary_disjointness=float(obj["vocabulary_disjointness"]),
-            discourse_signal_strength=float(obj["discourse_signal_strength"]),
-            seed=int(obj["seed"]),
-        )
+        obj = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise GenError(f"generation spec is not UTF-8 JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise GenError("generation spec is not a JSON object")
+    try:
+        values = {f.name: obj[f.name] for f in fields(GenSpec)}
     except KeyError as exc:
         raise GenError(f"generation spec missing field {exc}") from None
+    if isinstance(values["intervention_ratio"], list):
+        values["intervention_ratio"] = tuple(values["intervention_ratio"])
+    return GenSpec(**values)
 
 
 def intervened_count(n_threads: int, ratio: float) -> int:

@@ -4,7 +4,7 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from forum_sentinel.cli import load_feature_dump, main
@@ -287,6 +287,86 @@ def test_config_file_fuzz_never_internal_error(config, small_corpus, tmp_path, m
     (tmp_path / "run.json").write_text(json.dumps(config), "utf-8")
     argv = ["eval", "--config", str(tmp_path / "run.json"), "--corpus", str(small_corpus), "--out", str(tmp_path / "o")]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "flags, setting",
+    [
+        (["--tol", "nan"], "convergence_tol"), (["--tol", "inf"], "convergence_tol"),
+        (["--l2", "nan"], "l2_lambda"), (["--l2", "inf"], "l2_lambda"),
+        ({"tol": float("inf")}, "convergence_tol"), ({"l2": float("inf")}, "l2_lambda"),
+    ],
+    ids=["tol-nan", "tol-inf", "l2-nan", "l2-inf", "tol-inf-config", "l2-inf-config"],
+)
+def test_non_finite_training_setting_is_usage_error(flags, setting, small_corpus, tmp_path, capsys):
+    if isinstance(flags, dict):
+        (tmp_path / "run.json").write_text(json.dumps(flags), "utf-8")
+        flags = ["--config", str(tmp_path / "run.json")]
+    argv = ["eval", "--corpus", str(small_corpus), "--features", "edm15", "--out", str(tmp_path / "o"), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {setting} must be finite")
+
+
+def _usually(valid, other=_json_values):
+    """A value from ``valid`` seven times in eight, from ``other`` (any JSON value) otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 7 else valid)
+
+
+_posts = _usually(st.fixed_dictionaries(
+    {
+        "post_id": _usually(st.sampled_from(["p0", "p1", "p2"])),
+        "author_id": _usually(st.just("u0")),
+        "role": _usually(st.sampled_from(["student", "instructor", "teaching_assistant"])),
+        "timestamp": _usually(st.sampled_from([
+            "2020-01-06T10:00:00Z", "2020-01-06T10:00:00+23:59", "9999-12-31T23:59:59-23:59",
+            "0001-01-01T00:00:00+00:01", "2020-01-06",
+        ])),
+        "text": _usually(st.text(max_size=30) | st.sampled_from(["But if it fails, why?", "see http://x.org at 10:30"])),
+    },
+    optional={"parent_post_id": _usually(st.sampled_from(["p0", "p1"]))},
+))
+_records = _usually(st.fixed_dictionaries(
+    {
+        "course_id": _usually(st.sampled_from(["C1", "C2"])),
+        "thread_id": _usually(st.sampled_from(["t1", "t2", "t3"])),
+        "subforum": _usually(st.sampled_from(["lecture", "exam", "study_group"])),
+        "posts": _usually(st.lists(_posts, min_size=1, max_size=3)),
+    }
+))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_records, min_size=1, max_size=4))
+@example(records=[record(posts=5)])
+@example(records=[record(posts=[post_obj(0, ts="9999-12-31T23:59:59-23:59")])])
+def test_corpus_record_fuzz_never_internal_error(records, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    # 1: featurize builds no vocabulary when no thread survives the filter
+    assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) in (0, 1, 2)
+
+
+# no integer above 3, so that a valid spec generates a corpus of a few threads
+_count = _usually(
+    st.integers(1, 3),
+    st.integers(-1, 0) | st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.lists(_json_scalars),
+)
+_fraction = _usually(st.floats(0, 1))
+_spec_values = {
+    "n_courses": _count, "threads_per_course": _count, "seed": _usually(st.integers()),
+    "intervention_ratio": _usually(st.floats(0, 4) | st.lists(_usually(st.floats(0, 4)), max_size=3)),
+    "vocabulary_disjointness": _fraction, "discourse_signal_strength": _fraction,
+}
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_usually(st.fixed_dictionaries(_spec_values) | st.fixed_dictionaries({}, optional=_spec_values)))
+@example(spec=[1, 2])
+@example(spec={"n_courses": 2, "threads_per_course": 3, "intervention_ratio": None,
+               "vocabulary_disjointness": 0.5, "discourse_signal_strength": 0.5, "seed": 3})
+def test_genspec_fuzz_never_internal_error(spec, tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(spec), "utf-8")
+    assert main(["syngen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) in (0, 2)
 
 
 @pytest.mark.parametrize("features", ["pdtb", "edm15"])

@@ -61,12 +61,18 @@ class TestLoadCorpus:
             load_corpus(corpus_file([record(posts=posts)]))
 
     @pytest.mark.parametrize(
-        "post",
-        [post_obj(0, text=None), post_obj(0, ts="2020-01-06T10:00:00"), post_obj(0, ts=5)],
-        ids=["null-text", "timestamp-without-offset", "timestamp-not-string"],
+        "posts",
+        [
+            [post_obj(0, text=None)], [post_obj(0, ts="2020-01-06T10:00:00")], [post_obj(0, ts=5)],
+            [post_obj(0, ts="9999-12-31T23:59:59-23:59")], 5, [5],
+        ],
+        ids=[
+            "null-text", "timestamp-without-offset", "timestamp-not-string", "timestamp-out-of-range",
+            "posts-not-list", "post-not-object",
+        ],
     )
-    def test_spec_violation_names_line(self, corpus_file, post):
-        path = corpus_file([record(), record(tid="t2", posts=[post])])
+    def test_spec_violation_names_line(self, corpus_file, posts):
+        path = corpus_file([record(), record(tid="t2", posts=posts)])
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(path)
 

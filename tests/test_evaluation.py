@@ -244,6 +244,11 @@ class TestProtocols:
         for course in report.per_course:
             assert course.counts.total == course.n_threads
 
+    def test_in_domain_report_records_the_fold_seed(self):
+        threads = _syn_threads(n_courses=1)
+        report = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(seed=0), k=3, seed=1)
+        assert report.config["seed"] == 1
+
     def test_tampered_report_detected(self):
         threads = _syn_threads()
         report = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0)

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from forum_sentinel.features import FeatureSpace, FeatureVector
 from forum_sentinel.model import (
     MaxentModel,
     ModelFormatError,
     TrainConfig,
-    _hessian_product,
+    _objective,
     _to_arrays,
     class_weight,
     load_model,
@@ -50,6 +55,13 @@ def zero_model(space: FeatureSpace, config: TrainConfig) -> MaxentModel:
 def model_at(space, rng, config, scale=1.0) -> MaxentModel:
     weights = {name: rng.gauss(0, scale) for name in space.names}
     return MaxentModel(weights=weights, bias=rng.gauss(0, scale), feature_space=space, train_config=config)
+
+
+@pytest.mark.parametrize("name", ["l2_lambda", "convergence_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
 
 
 class TestClassWeight:
@@ -110,12 +122,10 @@ class TestLossAndGradient:
         config = TrainConfig(l2_lambda=lam)
         data = random_dataset(rng, 20, 5, space)
         X, y = _to_arrays(data, space)
-        hessp = _hessian_product(X, np.where(y == 1.0, 2.5, 1.0), lam)
+        fun, hessp = _objective(X, y, np.where(y == 1.0, 2.5, 1.0), config.l2_lambda)
 
         def grad(theta):
-            model = MaxentModel(dict(zip(space.names, theta[:-1])), theta[-1], space, config)
-            _loss, grad_w, grad_b = loss_and_gradient(model, data, config, class_weight_override=2.5)
-            return np.array([grad_w[name] for name in space.names] + [grad_b])
+            return fun(theta)[1]
 
         h = 1e-5
         for _ in range(2):  # the second point checks that D follows theta
@@ -130,12 +140,13 @@ class TestLossAndGradient:
         config = TrainConfig(l2_lambda=0.0)
         data = random_dataset(rng, 10, 4, space)
         model = model_at(space, rng, config)
-        _l0, g0, b0 = loss_and_gradient(model, data, config, class_weight_override=0.0)
-        _l1, g1, b1 = loss_and_gradient(model, data, config, class_weight_override=1.0)
-        _l2, g2, b2 = loss_and_gradient(model, data, config, class_weight_override=2.0)
-        for name in space.names:
-            assert g2[name] - g0[name] == pytest.approx(2 * (g1[name] - g0[name]), abs=1e-12)
-        assert b2 - b0 == pytest.approx(2 * (b1 - b0), abs=1e-12)
+        X, y = _to_arrays(data, space)
+        theta = np.append(model.weight_vector(), model.bias)
+        g0, g1, g2 = (
+            _objective(X, y, np.where(y == 1.0, cw, 1.0), config.l2_lambda)[0](theta)[1] for cw in (0.0, 1.0, 2.0)
+        )
+        for i in range(len(space) + 1):  # every weight, then the bias
+            assert g2[i] - g0[i] == pytest.approx(2 * (g1[i] - g0[i]), abs=1e-12)
 
     def test_convexity_midpoint_inequality(self):
         rng = random.Random(3)
@@ -397,9 +408,12 @@ class TestSaveLoad:
             ("\tconverged=1\t", "\tconverged=2\t"),
             ("\tconverged=1\t", "\tconverged\t"),
             ("\tseed=0\t", "\tseed\t"),
+            ("\tl2_lambda=0.0001\t", "\tl2_lambda=nan\t"),
+            ("\tconvergence_tol=9.9999999999999995e-07\t", "\tconvergence_tol=inf\t"),
+            ("^w\tf1\t", "w\tf0\t"),
         ],
         ids=["bare-fit-line", "no-class-weight", "no-n-iterations", "converged-not-int", "converged-2",
-             "fit-cell-no-equals", "config-cell-no-equals"],
+             "fit-cell-no-equals", "config-cell-no-equals", "l2-nan", "tol-inf", "duplicate-weight-name"],
     )
     def test_malformed_fit_or_config_line_names_byte_offset(self, pattern, new, tmp_path):
         model, _data = self._model()
@@ -410,3 +424,47 @@ class TestSaveLoad:
         path.write_text(text, "utf-8")
         with pytest.raises(ModelFormatError, match=r"byte \d+"):
             load_model(path)
+
+
+@functools.cache
+def _saved_model() -> bytes:
+    rng = random.Random(17)
+    model = train(random_dataset(rng, 20, 5), TrainConfig())
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.txt")
+        return (Path(tmp) / "m.txt").read_bytes()
+
+
+def _mutate(edits) -> bytes:
+    """Apply (position, bytes to cut, bytes to insert) edits to a saved model;
+    inserting None instead repeats the line at that position."""
+    raw = _saved_model()
+    for pos, cut, insert in edits:
+        if insert is None:
+            lines = raw.split(b"\n")
+            lines.insert(pos % len(lines), lines[pos % len(lines)])
+            raw = b"\n".join(lines)
+        else:
+            pos %= len(raw) + 1
+            raw = raw[:pos] + insert + raw[pos + cut :]
+    return raw
+
+
+_edits = st.lists(
+    st.tuples(
+        st.integers(0, 10**4), st.integers(0, 4),
+        st.none() | st.binary(max_size=6) | st.sampled_from([b"\t", b"\n", b"=", b"nan", b"inf", b"1e999", b"\xff"]),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=300) | _edits.map(_mutate))
+@example(raw=b"forum-sentinel-model 1\nconfig\t\xff\n")
+def test_load_model_fuzz_raises_only_model_format_error(raw, tmp_path):
+    (tmp_path / "m.txt").write_bytes(raw)
+    try:
+        load_model(tmp_path / "m.txt")
+    except ModelFormatError:
+        pass
