@@ -12,6 +12,7 @@ from .corpus import (
     AuthorRole,
     CorpusFormatError,
     CourseStats,
+    InputError,
     Label,
     Post,
     SubForumType,

@@ -20,9 +20,8 @@ import sys
 from pathlib import Path
 
 from . import evaluation, features, syngen
-from .corpus import CorpusFormatError, corpus_stats, filter_and_label, load_corpus
+from .corpus import InputError, corpus_stats, filter_and_label, load_corpus, parse_lines
 from .discourse import (
-    LexiconError,
     format_tag_records,
     load_lexicon,
     load_tag_import,
@@ -30,7 +29,7 @@ from .discourse import (
     tag_thread,
 )
 from .features import FeatureSpace, FeatureVector, build_vocabulary, prepare_thread, vectorize
-from .model import ModelFormatError, TrainConfig, save_model, train
+from .model import TrainConfig, save_model, train
 
 logger = logging.getLogger(__name__)
 
@@ -138,44 +137,46 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-class FeatureDumpError(ValueError):
+class FeatureDumpError(InputError):
     """Raised when a feature dump cannot be parsed; names the line."""
 
 
 def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
-    try:
-        lines = Path(path).read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FeatureDumpError(f"feature dump is not UTF-8: {exc}") from None
-    if not lines or not lines[0].startswith("#space\t"):
+    space = None
+    shared: dict[str, str] = {}  # one string per feature across all rows
+
+    def parse(line: str):
+        nonlocal space
+        if space is None:
+            if not line.startswith("#space\t"):
+                raise ValueError("missing #space header")
+            _tag, config, *names = line.split("\t")
+            space = FeatureSpace(tuple(names), config)
+            shared.update(zip(names, names))
+            return None
+        course_id, thread_id, label, *cells = line.split("\t")
+        if label not in ("intervened", "not_intervened"):
+            raise ValueError(f"bad label {label!r}")
+        values = {}
+        for cell in cells:
+            name, _, value = cell.rpartition(":")
+            values[shared.get(name, name)] = float(value)
+        return course_id, thread_id, FeatureVector(values, space), int(label == "intervened")
+
+    rows = [row for row in parse_lines(path, "feature dump", parse, FeatureDumpError) if row is not None]
+    if space is None:
         raise FeatureDumpError("feature dump missing #space header")
-    lineno = 1
-    rows = []
-    try:
-        header = lines[0].split("\t")
-        space = FeatureSpace(tuple(header[2:]), header[1])
-        shared = {name: name for name in space.names}  # one string per feature across all rows
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            course_id, thread_id, label_s, *cells = line.split("\t")
-            if label_s not in ("intervened", "not_intervened"):
-                raise ValueError(f"bad label {label_s!r}")
-            values = {}
-            for cell in cells:
-                name, _, value = cell.rpartition(":")
-                values[shared.get(name, name)] = float(value)
-            rows.append((course_id, thread_id, FeatureVector(values, space), 1 if label_s == "intervened" else 0))
-    except ValueError as exc:
-        raise FeatureDumpError(f"feature dump line {lineno}: {exc}") from None
     return space, rows
 
 
 def cmd_train(args) -> int:
     _space, rows = load_feature_dump(args.features_file)
-    dataset = [(vec, label) for _c, _t, vec, label in rows]
-    model = train(dataset, _train_config(args))
+    config = _train_config(args)
+    try:  # the settings are valid, so a fit that fails is failed by the dump
+        model = train([(vec, label) for _c, _t, vec, label in rows], config)
+    except ValueError as exc:
+        raise FeatureDumpError(f"cannot fit the feature dump: {exc}") from None
     out = _out_dir(args) / "model.txt"
     save_model(model, out)
     status = "converged" if model.converged else "not converged"
@@ -282,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {args.command} requires --corpus (flag or config file)", file=sys.stderr)
             return 1
         return args.func(args)
-    except (
-        CorpusFormatError, LexiconError, ModelFormatError, FeatureDumpError, syngen.GenError,
-        FileNotFoundError, IsADirectoryError,
-    ) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -10,16 +10,43 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import TypeVar
 
 logger = logging.getLogger(__name__)
+_T = TypeVar("_T")
 
 
-class CorpusFormatError(ValueError):
+class InputError(ValueError):
+    """A malformed input file; the CLI exits 2 for it and for every subclass."""
+
+
+class CorpusFormatError(InputError):
     """Raised when an input corpus file violates the frozen record schema."""
+
+
+def parse_lines(path, kind: str, parse: Callable[[str], _T], error: type[InputError], comments=False) -> Iterator[_T]:
+    """Stream ``parse(line)`` over the lines of a UTF-8 file (a path, or a package resource).
+
+    Lines end in LF or CRLF; blank lines, and ``#`` lines when ``comments`` is
+    set, are skipped. A ValueError from decoding or from ``parse`` is raised
+    as ``error("<kind> line N: <reason>")``.
+    """
+    with (Path(path) if isinstance(path, str) else path).open("rb") as fh:
+        for n, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line.strip() or comments and line.lstrip().startswith("#"):
+                    continue
+                item = parse(line)
+            except ValueError as exc:
+                raise error(f"{kind} line {n}: {exc}") from None
+            yield item
 
 
 class SubForumType(str, Enum):
@@ -123,94 +150,72 @@ class LoadResult:
 
 def parse_rfc3339(value: str) -> datetime:
     """Parse an RFC 3339 timestamp, which must carry ``Z`` or a numeric offset."""
-    if not isinstance(value, str):
-        raise ValueError(f"timestamp {value!r} is not a string")
     # py3.10 fromisoformat rejects the 'Z' suffix
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no Z or numeric offset")
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:  # the offset pushes the time out of range
+        raise ValueError(f"timestamp {value!r} is out of range") from None
 
 
-def _parse_post(obj: dict, line_no: int) -> Post:
+# Ids are written as cells of the tab-separated tag and dump files, in UTF-8.
+_BAD_ID_CHARS = re.compile("[\t\r\n\ud800-\udfff]")
+
+
+def _string(obj: dict, key: str) -> str:
+    """The JSON string under ``key``; an id (a key ending in ``_id``) holds no tab, CR, LF or lone surrogate."""
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} is not a string" if key in obj else f"missing {key!r}")
+    if key.endswith("_id") and _BAD_ID_CHARS.search(value):
+        raise ValueError(f"{key} {value!r} holds a tab, CR, LF or lone surrogate")
+    return value
+
+
+def _parse_post(obj: dict) -> Post:
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"line {line_no}: post is not an object")
-    try:
-        role = AuthorRole(obj["role"])
-    except ValueError:
-        raise CorpusFormatError(
-            f"line {line_no}: unknown author role {obj.get('role')!r}"
-        ) from None
-    except KeyError:
-        raise CorpusFormatError(f"line {line_no}: post missing 'role'") from None
-    if not isinstance(obj.get("text", ""), str):
-        raise CorpusFormatError(f"line {line_no}: post text is not a string")
-    try:
-        return Post(
-            post_id=str(obj["post_id"]),
-            author_id=str(obj["author_id"]),
-            role=role,
-            timestamp=parse_rfc3339(obj["timestamp"]),
-            text=obj["text"],
-            parent_post_id=(
-                str(obj["parent_post_id"]) if obj.get("parent_post_id") is not None else None
-            ),
-        )
-    except KeyError as exc:
-        raise CorpusFormatError(f"line {line_no}: post missing {exc}") from None
-    except (ValueError, OverflowError) as exc:  # OverflowError: an offset pushes the time out of range
-        raise CorpusFormatError(f"line {line_no}: bad post field ({exc})") from None
+        raise ValueError("post is not an object")
+    return Post(
+        post_id=_string(obj, "post_id"),
+        author_id=_string(obj, "author_id"),
+        role=AuthorRole(_string(obj, "role")),
+        timestamp=parse_rfc3339(_string(obj, "timestamp")),
+        text=_string(obj, "text"),
+        parent_post_id=None if obj.get("parent_post_id") is None else _string(obj, "parent_post_id"),
+    )
 
 
-def _parse_record(line: str, line_no: int) -> tuple[Thread, bool]:
+def _parse_record(line: str) -> tuple[Thread, bool]:
     """Returns the thread and whether its posts needed re-sorting."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
-        raise CorpusFormatError(f"line {line_no}: record is not an object")
-    for key in ("course_id", "thread_id", "subforum", "posts"):
-        if key not in obj:
-            raise CorpusFormatError(f"line {line_no}: record missing '{key}'")
-    if not isinstance(obj["posts"], list):
-        raise CorpusFormatError(f"line {line_no}: posts is not a list")
-    try:
-        subforum = SubForumType(obj["subforum"])
-    except ValueError:
-        raise CorpusFormatError(
-            f"line {line_no}: unknown subforum {obj['subforum']!r}"
-        ) from None
-    posts = [_parse_post(p, line_no) for p in obj["posts"]]
-    if not posts:
-        raise CorpusFormatError(f"line {line_no}: thread has no posts")
+        raise ValueError("record is not an object")
+    course_id, thread_id = _string(obj, "course_id"), _string(obj, "thread_id")
+    subforum = SubForumType(_string(obj, "subforum"))
+    if not isinstance(obj.get("posts"), list) or not obj["posts"]:
+        raise ValueError("posts is not a non-empty list")
+    posts = [_parse_post(p) for p in obj["posts"]]
     seen_ids = set()
     for post in posts:
         if post.post_id in seen_ids:
-            raise CorpusFormatError(
-                f"line {line_no}: duplicate post_id {post.post_id!r}"
-            )
+            raise ValueError(f"duplicate post_id {post.post_id!r}")
         seen_ids.add(post.post_id)
     top_level = {p.post_id for p in posts if p.parent_post_id is None}
     for post in posts:
         if post.parent_post_id is not None and post.parent_post_id not in top_level:
-            raise CorpusFormatError(
-                f"line {line_no}: parent_post_id {post.parent_post_id!r} does not "
-                f"name a top-level post"
-            )
+            raise ValueError(f"parent_post_id {post.parent_post_id!r} does not name a top-level post")
     monotone = all(
         posts[i].timestamp <= posts[i + 1].timestamp for i in range(len(posts) - 1)
     )
     if not monotone:
         # stable sort: equal timestamps keep input order
         posts = sorted(posts, key=lambda p: p.timestamp)
-    thread = Thread(
-        course_id=str(obj["course_id"]),
-        thread_id=str(obj["thread_id"]),
-        subforum=subforum,
-        posts=tuple(posts),
-    )
-    return thread, not monotone
+    return Thread(course_id, thread_id, subforum, tuple(posts)), not monotone
 
 
 def load_corpus(path: str | Path) -> LoadResult:
@@ -220,28 +225,20 @@ def load_corpus(path: str | Path) -> LoadResult:
     repeated loads are stable. Threads with out-of-order timestamps are
     re-sorted and counted in the result metadata.
     """
-    path = Path(path)
-    threads: list[Thread] = []
-    resorted = 0
     seen: set[tuple[str, str]] = set()
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                thread, was_resorted = _parse_record(line, line_no)
-                key = (thread.course_id, thread.thread_id)
-                if key in seen:
-                    raise CorpusFormatError(
-                        f"line {line_no}: duplicate thread_id {thread.thread_id!r} "
-                        f"in course {thread.course_id!r}"
-                    )
-                seen.add(key)
-                if was_resorted:
-                    resorted += 1
-                threads.append(thread)
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"corpus is not UTF-8: {exc}") from None
+
+    def parse(line: str) -> tuple[Thread, bool]:
+        thread, was_resorted = _parse_record(line)
+        key = (thread.course_id, thread.thread_id)
+        if key in seen:
+            raise ValueError(f"duplicate thread_id {thread.thread_id!r} in course {thread.course_id!r}")
+        seen.add(key)
+        return thread, was_resorted
+
+    threads, resorted = [], 0
+    for thread, was_resorted in parse_lines(path, "corpus", parse, CorpusFormatError):
+        threads.append(thread)
+        resorted += was_resorted
     if resorted:
         logger.warning("re-sorted posts of %d thread(s) with non-monotone timestamps", resorted)
     return LoadResult(threads=threads, resorted_threads=resorted)

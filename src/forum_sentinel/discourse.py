@@ -16,14 +16,14 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Thread
+from .corpus import InputError, Thread, parse_lines
 from .textprep import TokenizedPost
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
 
 
-class LexiconError(ValueError):
+class LexiconError(InputError):
     """Raised for malformed or inconsistent lexicon / tag-import files."""
 
 
@@ -103,48 +103,38 @@ class ConnectiveLexicon:
         return ConnectiveLexicon([e for e in self.entries.values() if e.tokens != key])
 
 
-def _parse_lexicon_line(line: str, line_no: int) -> LexiconEntry:
+def _parse_lexicon_line(line: str) -> LexiconEntry:
     parts = line.split("\t")
     if len(parts) != 6:
-        raise LexiconError(f"line {line_no}: expected 6 tab-separated fields, got {len(parts)}")
+        raise ValueError(f"expected 6 tab-separated fields, got {len(parts)}")
     surface = parts[0].strip().lower()
     tokens = tuple(surface.split())
     if not tokens:
-        raise LexiconError(f"line {line_no}: empty surface")
+        raise ValueError("empty surface")
     if len(tokens) > MAX_SURFACE_TOKENS:
-        raise LexiconError(f"line {line_no}: surface longer than {MAX_SURFACE_TOKENS} tokens")
-    try:
-        prior = float(parts[1])
-        weights = tuple(float(p) for p in parts[2:6])
-    except ValueError:
-        raise LexiconError(f"line {line_no}: non-numeric prior or weight") from None
+        raise ValueError(f"surface longer than {MAX_SURFACE_TOKENS} tokens")
+    prior = float(parts[1])
+    weights = tuple(float(p) for p in parts[2:6])
     if not 0.0 <= prior <= 1.0:
-        raise LexiconError(f"line {line_no}: discourse_prior {prior} outside [0, 1]")
+        raise ValueError(f"discourse_prior {prior} outside [0, 1]")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-        raise LexiconError(f"line {line_no}: sense weights need >=1 positive, none negative")
+        raise ValueError("sense weights need >=1 positive, none negative")
     return LexiconEntry(surface=surface, tokens=tokens, discourse_prior=prior, sense_weights=weights)
 
 
 def load_lexicon(path: str | Path | None = None) -> ConnectiveLexicon:
     """Load a connective lexicon; None loads the shipped default."""
-    if path is None:
-        text = resources.files("forum_sentinel.data").joinpath("connectives.tsv").read_text("utf-8")
-    else:
-        try:
-            text = Path(path).read_text("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LexiconError(f"lexicon is not UTF-8: {exc}") from None
-    entries: list[LexiconEntry] = []
     seen: set[tuple[str, ...]] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        entry = _parse_lexicon_line(line, line_no)
+
+    def parse(line: str) -> LexiconEntry:
+        entry = _parse_lexicon_line(line)
         if entry.tokens in seen:
-            raise LexiconError(f"line {line_no}: duplicate surface {entry.surface!r}")
+            raise ValueError(f"duplicate surface {entry.surface!r}")
         seen.add(entry.tokens)
-        entries.append(entry)
-    return ConnectiveLexicon(entries)
+        return entry
+
+    source = resources.files("forum_sentinel.data") / "connectives.tsv" if path is None else path
+    return ConnectiveLexicon(list(parse_lines(source, "lexicon", parse, LexiconError, comments=True)))
 
 
 def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
@@ -214,7 +204,7 @@ def tag_thread(
         triples = imported.get((thread.course_id, thread.thread_id, post.post_id), ())
         tags = []
         prev_end = -1
-        for start, end, sense in sorted(triples):
+        for start, end, sense in sorted(triples, key=lambda t: t[:2]):  # a repeated span is an overlap
             if not (0 <= start < end <= len(tok.tokens)):
                 raise LexiconError(
                     f"imported span ({start}, {end}) out of range for post {post.post_id!r}"
@@ -234,37 +224,26 @@ def tag_thread(
     return out
 
 
+def _parse_triple(cell: str) -> tuple[int, int, SenseTag]:
+    bits = cell.split(":")
+    if len(bits) != 3:
+        raise ValueError(f"bad triple {cell!r}")
+    return int(bits[0]), int(bits[1]), SenseTag.from_label(bits[2])
+
+
 def load_tag_import(path: str | Path) -> TagImport:
     """Read a tag-import file: course, thread, post ids then start:end:Sense triples."""
-    table: TagImport = {}
-    try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 3:
-                    raise LexiconError(f"line {line_no}: expected at least 3 fields")
-                key = (parts[0], parts[1], parts[2])
-                if key in table:
-                    raise LexiconError(f"line {line_no}: duplicate post record {key}")
-                triples = []
-                for cell in parts[3:]:
-                    if not cell:
-                        continue
-                    bits = cell.split(":")
-                    if len(bits) != 3:
-                        raise LexiconError(f"line {line_no}: bad triple {cell!r}")
-                    try:
-                        start, end = int(bits[0]), int(bits[1])
-                    except ValueError:
-                        raise LexiconError(f"line {line_no}: bad span in {cell!r}") from None
-                    triples.append((start, end, SenseTag.from_label(bits[2])))
-                table[key] = tuple(triples)
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"tag-import file is not UTF-8: {exc}") from None
-    return table
+    seen: set[tuple[str, str, str]] = set()
+
+    def parse(line: str):
+        course_id, thread_id, post_id, *cells = line.split("\t")
+        key = (course_id, thread_id, post_id)
+        if key in seen:
+            raise ValueError(f"duplicate post record {key}")
+        seen.add(key)
+        return key, tuple(_parse_triple(cell) for cell in cells if cell)
+
+    return dict(parse_lines(path, "tag import", parse, LexiconError))
 
 
 def format_tag_records(thread: Thread, taggings: list[PostDiscourse]) -> list[str]:

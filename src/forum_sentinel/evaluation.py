@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Label, Thread, by_course
 from .discourse import ConnectiveLexicon, TagImport
-from .features import LEXICAL_CONFIGS, Vocabulary, build_vocabulary, vectorize
+from .features import LEXICAL_CONFIGS, build_vocabulary, vectorize
 from .model import TrainConfig, predict, train as train_model
 
 logger = logging.getLogger(__name__)
@@ -177,9 +177,7 @@ def _fit_and_score(
     """Fit on one split and score its test side; the flag marks a training
     split of fewer than two classes, which is not fit: its test threads all
     get the training class, or not-intervened when the split is empty."""
-    vocabulary: Vocabulary | None = None
-    if feature_config in LEXICAL_CONFIGS:
-        vocabulary = build_vocabulary(train_threads) if train_threads else Vocabulary(index={})
+    vocabulary = build_vocabulary(train_threads) if feature_config in LEXICAL_CONFIGS else None
     kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
     classes = {label for _vec, label in train_data}

@@ -187,8 +187,6 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, int], dict[str, float]]:
 
 def build_vocabulary(training_threads: list[Thread]) -> Vocabulary:
     """Collect all distinct content-filtered tokens of the training threads."""
-    if not training_threads:
-        raise ValueError("cannot build a vocabulary from an empty training set")
     seen: set[str] = set()
     for thread in training_threads:
         seen.update(_lexical_profile(thread)[0])

@@ -22,6 +22,7 @@ import scipy.optimize
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .corpus import InputError
 from .features import FeatureSpace, FeatureVector
 
 logger = logging.getLogger(__name__)
@@ -29,7 +30,7 @@ logger = logging.getLogger(__name__)
 MODEL_FORMAT_HEADER = "forum-sentinel-model 1"
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """Raised when a model file cannot be parsed; reports the byte offset."""
 
 
@@ -124,7 +125,10 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
             p = expit(X @ theta[:-1] + theta[-1])
             at.update(theta=theta.copy(), d=sample_weight * p * (1.0 - p))
         u = at["d"] * (X @ v[:-1] + v[-1])
-        return np.append(X.T @ u + lam * v[:-1], u.sum())
+        product = np.append(X.T @ u + lam * v[:-1], u.sum())
+        if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
+            raise ValueError("the fit overflowed: feature values are too large")
+        return product
 
     return fun, hessp
 

@@ -24,7 +24,7 @@ import string
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import Thread, _parse_record
+from .corpus import InputError, Thread, _parse_record
 
 _BASE_EPOCH = 1577836800  # 2020-01-01T00:00:00Z
 _SUBFORUMS = ("errata", "exam", "lecture", "homework")
@@ -40,7 +40,7 @@ _NOISE_PATTERN_RATE = 0.05
 _BACKGROUND_RATE = 0.3
 
 
-class GenError(ValueError):
+class GenError(InputError):
     """Raised for invalid or infeasible generation specs."""
 
 
@@ -249,7 +249,4 @@ def generate(spec: GenSpec, path: str | Path) -> None:
 
 def generate_threads(spec: GenSpec) -> list[Thread]:
     """Generate and parse through the corpus reader (raw, unfiltered threads)."""
-    return [
-        _parse_record(json.dumps(record, sort_keys=True), i + 1)[0]
-        for i, record in enumerate(generate_records(spec))
-    ]
+    return [_parse_record(json.dumps(record, sort_keys=True))[0] for record in generate_records(spec)]

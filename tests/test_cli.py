@@ -100,6 +100,17 @@ class TestFeaturizeTrain:
         assert model.feature_space == space
         assert model.class_weight_value == pytest.approx(4 / 3)
 
+    def test_ids_keep_line_separators_other_than_lf(self, small_corpus, tmp_path):
+        odd = "\x85\u2028\x0c"  # str.splitlines breaks at each of these; the dump reader must not
+        records = [json.loads(line) for line in small_corpus.read_text("utf-8").splitlines()]
+        corpus = tmp_path / "odd.jsonl"
+        corpus.write_text("".join(json.dumps({**r, "course_id": r["course_id"] + odd}) + "\n" for r in records), "utf-8")
+        out = tmp_path / "o"
+        assert main(["featurize", "--corpus", str(corpus), "--features", "edm15", "--out", str(out)]) == 0
+        _space, rows = load_feature_dump(out / "features.tsv")
+        assert {course for course, *_ in rows} == {"C1" + odd, "C2" + odd}
+        assert main(["train", "--features-file", str(out / "features.tsv"), "--out", str(out)]) == 0
+
 
 @pytest.mark.parametrize(
     "command, filename",
@@ -342,8 +353,92 @@ _records = _usually(st.fixed_dictionaries(
 def test_corpus_record_fuzz_never_internal_error(records, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-    # 1: featurize builds no vocabulary when no thread survives the filter
-    assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) in (0, 1, 2)
+    assert main(["featurize", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) in (0, 2)
+
+
+def _cells(*cells):
+    """One tab-separated line: a cell from each strategy, then the cells of the list the last one draws."""
+    return st.tuples(*cells).map(lambda parts: "\t".join(parts[:-1] + tuple(parts[-1])))
+
+
+def _input_file(lines):
+    """A list of lines as text, or, one time in eight, bytes that are not UTF-8."""
+    return _usually(lines.map(lambda ls: "".join(l + "\n" for l in ls).encode()),
+                    st.binary(max_size=12).map(lambda b: b + b"\xff"))
+
+
+_junk = st.text(max_size=4)
+_number = _usually(st.sampled_from(["0", "0.5", "1"]), st.sampled_from(["-1", "2", "nan", "inf", "1e400", "x", ""]))
+_lexicon_line = _cells(
+    _usually(st.sampled_from(["but", "if", "as soon as", "because"]),
+             st.sampled_from(["", "a b c d e", "#but"]) | _junk),
+    _usually(st.just(5), st.integers(0, 7)).flatmap(lambda n: st.lists(_number, min_size=n, max_size=n)),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_input_file(st.lists(_lexicon_line, max_size=4)))
+def test_lexicon_file_fuzz_never_internal_error(content, small_corpus, tmp_path):
+    (tmp_path / "lexicon.tsv").write_bytes(content)
+    argv = ["tag", "--corpus", str(small_corpus), "--lexicon", str(tmp_path / "lexicon.tsv"),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) in (0, 2)
+
+
+_triple = st.builds("{}:{}:{}".format, st.integers(-1, 10), st.integers(-1, 10),
+                    st.sampled_from(["Temporal", "Contingency", "Comparison", "Expansion"]))
+_tag_line = _cells(
+    _usually(st.sampled_from(["C1", "C2"]), _junk), _usually(st.sampled_from(["pos0", "neg0"]), _junk),
+    _usually(st.sampled_from(["p0", "p1", "p2"]), _junk),
+    st.lists(_usually(_triple, _junk), max_size=3),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_input_file(st.lists(_tag_line, max_size=4)))
+@example(content=b"C1\tpos0\tp0\t0:1:Expansion\t0:1:Temporal\n")  # one span tagged twice
+@example(content=b"C\t1\tpos0\tp0\t0:1:Comparison\n")  # what tag wrote for a course id holding a tab
+def test_tag_import_fuzz_never_internal_error(content, small_corpus, tmp_path):
+    (tmp_path / "tags.tsv").write_bytes(content)
+    argv = ["featurize", "--corpus", str(small_corpus), "--features", "pdtb", "--tags", str(tmp_path / "tags.tsv"),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) in (0, 2)
+
+
+_dump_names = ("n_posts", "n_url", "uni.alpha")
+_dump_header = _usually(st.just("#space\tedm15\t" + "\t".join(_dump_names)),
+                        st.sampled_from(["#space", "#space\t", "#space\tedm15\tn_posts\tn_posts"]) | _junk)
+_dump_label = st.sampled_from(["intervened", "not_intervened"])
+_dump_cell = st.builds("{}:{!r}".format, st.sampled_from(_dump_names), st.floats(-5, 5))
+_dump_row = _usually(
+    _cells(st.sampled_from(["C1", "C2"]), st.sampled_from(["t1", "t2"]), _dump_label, st.lists(_dump_cell, max_size=3)),
+    _cells(_junk, _junk, _usually(_dump_label, _junk), st.lists(_usually(
+        _dump_cell, st.sampled_from(["n_posts:nan", "n_posts:1e300", "n_url:", "x:1.0", ":"]) | _junk), max_size=3)),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_input_file(st.tuples(_dump_header, st.lists(_dump_row, max_size=5)).map(lambda t: [t[0], *t[1]])))
+@example(content=b"#space\tedm15\tn_posts\nC\t1\tt0\tintervened\tn_posts:1.0\n")  # a course id holding a tab
+# a fit that overflows
+@example(content=b"#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e300\nC1\tt2\tnot_intervened\n")
+def test_feature_dump_fuzz_never_internal_error(content, tmp_path):
+    (tmp_path / "features.tsv").write_bytes(content)
+    assert main(["train", "--features-file", str(tmp_path / "features.tsv"), "--out", str(tmp_path / "o")]) in (0, 2)
+
+
+def test_tag_import_of_hash_prefixed_ids_matches_the_tagger(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    spec = GenSpec(n_courses=2, threads_per_course=30, intervention_ratio=0.25,
+                   vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=3)
+    generate(spec, corpus)
+    records = [json.loads(line) for line in corpus.read_text("utf-8").splitlines()]
+    corpus.write_text("".join(json.dumps({**r, "course_id": "#" + r["course_id"]}) + "\n" for r in records), "utf-8")
+    assert main(["tag", "--corpus", str(corpus), "--out", str(tmp_path / "t")]) == 0
+    args = ["eval", "--corpus", str(corpus), "--features", "pdtb", "--regime", "ccv", "--emit", "records"]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--tags", str(tmp_path / "t" / "tags.tsv"), "--out", str(tmp_path / "imported")]) == 0
+    assert (tmp_path / "plain" / "report.jsonl").read_bytes() == (tmp_path / "imported" / "report.jsonl").read_bytes()
 
 
 # no integer above 3, so that a valid spec generates a corpus of a few threads

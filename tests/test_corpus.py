@@ -76,6 +76,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("value", [None, 7, "x\ty", "x\ry", "x\ny", "x\ud800"],
+                             ids=["null", "number", "tab", "cr", "lf", "lone-surrogate"])
+    @pytest.mark.parametrize("field", ["course_id", "thread_id", "post_id", "author_id"])
+    def test_id_must_be_a_string_without_separators(self, corpus_file, field, value):
+        bad = record(tid="t2")
+        (bad if field in bad else bad["posts"][0])[field] = value
+        with pytest.raises(CorpusFormatError, match=f"line 2: {field} "):
+            load_corpus(corpus_file([record(), bad]))
+
+    def test_parent_post_id_must_be_a_string(self, corpus_file):
+        posts = [{**post_obj(0), "post_id": "7"}, post_obj(1, parent=7)]
+        with pytest.raises(CorpusFormatError, match="line 2: parent_post_id "):
+            load_corpus(corpus_file([record(), record(tid="t2", posts=posts)]))
+
     def test_stable_order_across_loads(self, corpus_file):
         path = corpus_file([record(tid=f"t{i}") for i in range(5)])
         a = load_corpus(path).threads

@@ -198,9 +198,8 @@ class TestVocabulary:
         assert "uni.newword" not in vec.space
         assert all(not name.endswith("newword") for name in vec.values)
 
-    def test_empty_training_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            build_vocabulary([])
+    def test_empty_training_set_gives_empty_vocabulary(self):
+        assert build_vocabulary([]).size == 0
 
 
 class TestVectorize:

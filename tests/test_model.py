@@ -248,6 +248,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="both classes"):
             train(data, TrainConfig())
 
+    @pytest.mark.parametrize("value", [1e100, 1e300])
+    def test_overflowing_fit_raises(self, value):
+        space = make_space(1)
+        data = [(FeatureVector({"f0": value}, space), 1), (FeatureVector({}, space), 1), (FeatureVector({}, space), 0)]
+        with pytest.raises(ValueError, match="overflowed"):  # 1e100 used to spin in trust-ncg forever
+            train(data, TrainConfig())
+
     def test_regularization_shrinks_weights_monotonically(self):
         rng = random.Random(11)
         space = make_space(4)
