@@ -40,7 +40,10 @@ def _setup_logging() -> None:
 
 def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """Checked settings from the JSON config file, to become the subcommand's defaults."""
-    obj = json.loads(Path(args.config).read_text("utf-8"))
+    try:
+        obj = json.loads(Path(args.config).read_text("utf-8"))
+    except RecursionError:
+        raise ValueError("config file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

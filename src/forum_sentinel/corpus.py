@@ -191,8 +191,8 @@ def _parse_record(line: str) -> tuple[Thread, bool]:
     """Returns the thread and whether its posts needed re-sorting."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     course_id, thread_id = _string(obj, "course_id"), _string(obj, "thread_id")

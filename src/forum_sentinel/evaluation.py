@@ -166,6 +166,7 @@ def _confusion_from_predictions(pairs: list[tuple[int, int]]) -> ConfusionCounts
 
 
 def _fit_and_score(
+    fold: tuple[str, int, int],
     train_threads: list[Thread],
     test_threads: list[Thread],
     feature_config: str,
@@ -176,7 +177,8 @@ def _fit_and_score(
 ) -> tuple[ConfusionCounts, int, bool]:
     """Fit on one split and score its test side; the flag marks a training
     split of fewer than two classes, which is not fit: its test threads all
-    get the training class, or not-intervened when the split is empty."""
+    get the training class, or not-intervened when the split is empty. The log
+    line names the ``fold``: (course id, split number, split count)."""
     vocabulary = build_vocabulary(train_threads) if feature_config in LEXICAL_CONFIGS else None
     kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
@@ -186,7 +188,11 @@ def _fit_and_score(
     test_data = vectorize(test_threads, feature_config, **kwargs)
     fallback = max(classes, default=0)
     pairs = [(label, fallback if degenerate else predict(fitted, vec)) for vec, label in test_data]
-    return _confusion_from_predictions(pairs), vocabulary.size if vocabulary else 0, degenerate
+    size = vocabulary.size if vocabulary else 0
+    fit = "degenerate" if degenerate else f"{fitted.n_iterations} iterations, converged={fitted.converged}"
+    logger.info("course %s split %d of %d: %d train / %d test threads, vocabulary %d, %s",
+                *fold, len(train_threads), len(test_threads), size, fit)
+    return _confusion_from_predictions(pairs), size, degenerate
 
 
 def _evaluate(
@@ -202,8 +208,9 @@ def _evaluate(
     per_course = []
     for course_id, n_threads, splits in plan:
         scored = [
-            _fit_and_score(train, test, feature_config, lexicon, train_config, tag_imports, unigram_mode)
-            for train, test in splits
+            _fit_and_score((course_id, i, len(splits)), train, test, feature_config, lexicon, train_config,
+                           tag_imports, unigram_mode)
+            for i, (train, test) in enumerate(splits, 1)
         ]
         fold_counts, sizes, degenerate = zip(*scored)
         if any(degenerate):

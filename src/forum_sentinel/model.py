@@ -89,11 +89,11 @@ def _dataset_space(dataset: Dataset) -> FeatureSpace:
 
 def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np.ndarray]:
     y = np.array([float(label) for _vec, label in dataset])
-    # csr_matrix sorts each row by column, so dict order cannot move the bits
-    rows = np.repeat(np.arange(len(dataset)), [len(vec.values) for vec, _label in dataset])
-    cols = [index for vec, _label in dataset for index in map(space.index, vec.values)]
-    data = [value for vec, _label in dataset for value in vec.values.values()]
-    X = sp.csr_matrix((data, (rows, cols)), shape=(len(dataset), len(space)))
+    indptr = np.cumsum([0] + [len(vec.values) for vec, _label in dataset])
+    indices = np.fromiter((space._index[name] for vec, _label in dataset for name in vec.values), np.int64, indptr[-1])
+    data = np.fromiter((value for vec, _label in dataset for value in vec.values.values()), float, indptr[-1])
+    X = sp.csr_matrix((data, indices, indptr), shape=(len(dataset), len(space)))
+    X.sum_duplicates()  # sorts each row by column, so dict order cannot move the bits
     return X, y
 
 
@@ -106,10 +106,16 @@ def _sample_weight(y: np.ndarray, config: TrainConfig) -> tuple[float, np.ndarra
 
 def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: float):
     """The weighted objective over theta = (w, b): ``fun(theta) -> (loss, gradient)``
-    and the exact Hessian-vector product ``hessp(theta, v)``, whose D = sw·p(1−p)
-    is computed once per point theta.
+    and the exact Hessian-vector product ``hessp(theta, v)``. Xᵀ is built once, and
+    D = sw·p(1−p) once per point theta, by whichever of the two reaches it first.
     """
+    XT = X.T.tocsr()
     at: dict = {"theta": None}
+
+    def probability(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        p = expit(z)
+        at.update(theta=theta.copy(), d=sample_weight * p * (1.0 - p))
+        return p
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w = theta[:-1]
@@ -117,15 +123,14 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
         # log(1 + e^z) - y z, elementwise-stable
         nll = np.logaddexp(0.0, z) - y * z
         loss = float(sample_weight @ nll + 0.5 * lam * (w @ w))
-        residual = sample_weight * (expit(z) - y)
-        return loss, np.append(X.T @ residual + lam * w, residual.sum())
+        residual = sample_weight * (probability(theta, z) - y)
+        return loss, np.append(XT @ residual + lam * w, residual.sum())
 
     def hessp(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, at["theta"]):
-            p = expit(X @ theta[:-1] + theta[-1])
-            at.update(theta=theta.copy(), d=sample_weight * p * (1.0 - p))
+            probability(theta, X @ theta[:-1] + theta[-1])
         u = at["d"] * (X @ v[:-1] + v[-1])
-        product = np.append(X.T @ u + lam * v[:-1], u.sum())
+        product = np.append(XT @ u + lam * v[:-1], u.sum())
         if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
             raise ValueError("the fit overflowed: feature values are too large")
         return product

@@ -84,7 +84,7 @@ def load_genspec(path: str | Path) -> GenSpec:
     """Read a JSON generation spec; one that is malformed raises GenError."""
     try:
         obj = json.loads(Path(path).read_text("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested past the interpreter's limit
         raise GenError(f"generation spec is not UTF-8 JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise GenError("generation spec is not a JSON object")

@@ -22,9 +22,9 @@ PLACEHOLDERS = ("EQU", "URL", "TIMEREF")
 _URL_RE = re.compile(r"(?:(?:https?|ftp)://|www\.)\S+", re.IGNORECASE)
 _DOLLAR_EQU_RE = re.compile(r"\$[^$\n]+\$")
 _TIME_RE = re.compile(r"(?<![\d:])\d{1,2}:\d{2}(?::\d{2})?(?![\d:])")
-# heuristic equation: a whitespace-delimited run with >=2 operator chars and a digit
-_RUN_RE = re.compile(r"\S+")
-_EQU_OPS = set("=+^/\\")
+# heuristic equation: a whitespace-delimited run with >=2 operator chars (=+^/\) and a digit; the pattern
+# picks out runs with the operators, trying run starts only so each run is scanned once; _is_equation_run does the rest
+_EQU_RUN_RE = re.compile(r"(?<!\S)(?=[^\s=+^/\\]*[=+^/\\][^\s=+^/\\]*[=+^/\\])\S+")
 # characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
@@ -49,10 +49,8 @@ class TokenizedPost:
 
 
 def _is_equation_run(run: str) -> bool:
-    if run in PLACEHOLDERS:
-        return False
-    ops = sum(1 for ch in run if ch in _EQU_OPS)
-    return ops >= 2 and any(ch.isdigit() for ch in run)
+    # str.isdigit, not \d, which does not match "²"
+    return run not in PLACEHOLDERS and any(ch.isdigit() for ch in run)
 
 
 def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
@@ -83,7 +81,7 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
             return "EQU"
         return m.group()
 
-    text = _RUN_RE.sub(equ_run, text)
+    text = _EQU_RUN_RE.sub(equ_run, text)
     return text, counts
 
 

@@ -195,6 +195,19 @@ class TestConfigAndErrors:
             assert main(["ingest", "--config", str(cfg), "--corpus", "anything"]) == 1
             assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
 
+    @pytest.mark.parametrize("kind, code", [("corpus", 2), ("spec", 2), ("config", 1)])
+    def test_json_nested_past_the_recursion_limit(self, kind, code, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        argv = {
+            "corpus": ["ingest", "--corpus", str(deep)],
+            "spec": ["syngen", "--spec", str(deep), "--out", str(tmp_path / "o")],
+            "config": ["eval", "--config", str(deep), "--corpus", str(deep)],
+        }[kind]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("nested too deeply" in err or "recursion depth" in err)
+
     @pytest.mark.parametrize(
         "setting", [{"k": "3"}, {"l2": "x"}, {"features": "bogus"}], ids=["k-string", "l2-not-float", "features-unknown"]
     )

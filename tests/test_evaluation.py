@@ -4,6 +4,7 @@ import itertools
 import json
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ class TestProtocols:
         monkeypatch.setattr(evaluation, "train_model", no_fit)
         with pytest.raises(ValueError, match="median"):
             run_in_domain(_syn_threads(), "pdtb", load_lexicon(), TrainConfig(), fold_mode="median")
+
+    def test_each_split_logs_one_line_naming_its_fold(self, caplog):
+        threads = _syn_threads()
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
+            report = run_loo_ccv(threads, "edm15", load_lexicon(), TrainConfig())
+        lines = [r.getMessage() for r in caplog.records if r.name == "forum_sentinel.evaluation"]
+        assert len(lines) == len(report.per_course) == 2
+        for course, line in zip(report.per_course, lines):
+            head = (f"course {course.course_id} split 1 of 1: {len(threads) - course.n_threads} train / "
+                    f"{course.n_threads} test threads, vocabulary {course.vocabulary_sizes[0]}, ")
+            assert re.fullmatch(re.escape(head) + r"\d+ iterations, converged=True", line), line
+
+    def test_one_class_split_logs_degenerate(self, caplog):
+        negatives = [t for t in _syn_threads(n_courses=1) if t.label is not Label.INTERVENED]
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
+            evaluation._fit_and_score(
+                ("SYN-0", 2, 5), negatives[:10], negatives[10:12], "pdtb", load_lexicon(), TrainConfig(), None, "counts"
+            )
+        assert caplog.records[-1].getMessage() == (
+            "course SYN-0 split 2 of 5: 10 train / 2 test threads, vocabulary 0, degenerate"
+        )
 
     def test_renderers_are_deterministic(self):
         threads = _syn_threads()

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from forum_sentinel.features import FeatureSpace, FeatureVector
 from forum_sentinel.model import (
@@ -173,6 +175,65 @@ class TestLossAndGradient:
         data = [(FeatureVector({"g0": 1.0}, space_b), 1)]
         with pytest.raises(ValueError, match="space"):
             loss_and_gradient(zero_model(space_a, config), data, config)
+
+
+class TestMatrixAndObjectiveBits:
+    """The fit's matrix and its objective are pinned bit for bit to the plain constructions."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), dims=st.integers(1, 8))
+    def test_to_arrays_matches_a_coo_build(self, seed, n, dims):
+        rng = random.Random(seed)
+        space = make_space(dims)
+        data = []
+        for vec, label in random_dataset(rng, n, dims, space):
+            items = list(vec.values.items())
+            rng.shuffle(items)
+            data.append((FeatureVector(dict(items), space), label))
+        X, y = _to_arrays(data, space)
+        rows = [i for i, (vec, _label) in enumerate(data) for _name in vec.values]
+        cols = [space.index(name) for vec, _label in data for name in vec.values]
+        values = [value for vec, _label in data for value in vec.values.values()]
+        reference = sp.csr_matrix((values, (rows, cols)), shape=(n, dims))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, attr), getattr(reference, attr)), attr
+        assert sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).has_canonical_format
+        assert np.array_equal(y, [float(label) for _vec, label in data])
+
+    def test_objective_matches_a_transpose_built_on_every_call(self):
+        rng = random.Random(5)
+        space = make_space(6)
+        X, y = _to_arrays(random_dataset(rng, 40, 6, space), space)
+        sw, lam = np.where(y == 1.0, 3.0, 1.0), 1e-3
+        fun, hessp = _objective(X, y, sw, lam)
+
+        def reference_fun(theta):
+            w = theta[:-1]
+            z = X @ w + theta[-1]
+            residual = sw * (expit(z) - y)
+            loss = float(sw @ (np.logaddexp(0.0, z) - y * z) + 0.5 * lam * (w @ w))
+            return loss, np.append(X.T @ residual + lam * w, residual.sum())
+
+        def reference_hessp(theta, v):
+            p = expit(X @ theta[:-1] + theta[-1])
+            u = sw * p * (1.0 - p) * (X @ v[:-1] + v[-1])
+            return np.append(X.T @ u + lam * v[:-1], u.sum())
+
+        a, b, c = (np.array([rng.gauss(0, 1) for _ in range(7)]) for _ in range(3))
+        theta = c.copy()
+        # trust-ncg's order: fun then products at a point; a rejected trial point b sends it back to a;
+        # c is changed in place after fun saw it, and the last point is one fun never saw
+        calls = [("fun", a), ("hessp", a), ("hessp", a), ("fun", b), ("hessp", a), ("fun", a),
+                 ("fun", theta), ("mutate", theta), ("hessp", theta), ("hessp", b + 1.0)]
+        for kind, point in calls:
+            if kind == "mutate":
+                point += 0.5
+            elif kind == "fun":
+                (loss, grad), (want_loss, want_grad) = fun(point), reference_fun(point)
+                assert loss == want_loss and np.array_equal(grad, want_grad)
+            else:
+                v = np.array([rng.gauss(0, 1) for _ in range(7)])
+                assert np.array_equal(hessp(point, v), reference_hessp(point, v))
 
 
 class TestTrain:

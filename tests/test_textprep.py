@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forum_sentinel import textprep
 from forum_sentinel.textprep import (
     PLACEHOLDERS,
     content_filter,
@@ -118,6 +120,31 @@ class TestTokenize:
         b = prepare_text(text)
         assert a == b
         assert len(content_filter(a.tokens)) <= len(a.tokens)
+
+
+def _is_equation_run_per_run(run: str) -> bool:
+    """The equation test as it ran on every whitespace run, before the candidate pattern."""
+    if run in PLACEHOLDERS:
+        return False
+    ops = sum(1 for ch in run if ch in "=+^/\\")
+    return ops >= 2 and any(ch.isdigit() for ch in run)
+
+
+_EQUATION_PIECES = [
+    "a", "Z", "x", "0", "7", "\u00b2", "\u0663", "$", ":", "=", "+", "^", "/", "\\", ".", "!", "?",
+    " ", "\t", "\n", "\u00a0", "www.", "http://", *PLACEHOLDERS,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_EQUATION_PIECES), max_size=30).map("".join))
+@example("x\u00b2+y\u00b2=1 and 1/2+1/3 but not a+b=c or EQU")
+def test_equation_pattern_matches_the_per_run_callback(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textprep, "_EQU_RUN_RE", re.compile(r"\S+"))
+        patch.setattr(textprep, "_is_equation_run", _is_equation_run_per_run)
+        oracle = replace_nonlexical(text)
+    assert replace_nonlexical(text) == oracle
 
 
 class TestContentFilter:
