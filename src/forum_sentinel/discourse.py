@@ -7,6 +7,9 @@ the highest lexicon weight. Only the four top-level senses exist here, and
 connectives never cross post boundaries. Externally produced tags can be
 swapped in through the tag-import file format, making the downstream feature
 pipeline tagger-agnostic.
+
+A lexicon remembers each post it tagged, by tokens and sentence bounds (the
+cues read both), so evaluation folds that score a post again reuse its tags.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class LexiconEntry:
         return SENSES[self.sense_weights.index(best)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedConnective:
     start: int
     end: int  # half-open token span within one post
@@ -72,7 +75,7 @@ class TaggedConnective:
     sense: SenseTag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostDiscourse:
     tags: tuple[TaggedConnective, ...]
 
@@ -83,6 +86,9 @@ class PostDiscourse:
         return len(self.tags)
 
 
+_UNTAGGED = PostDiscourse(tags=())  # shared by every post without a connective
+
+
 class ConnectiveLexicon:
     def __init__(self, entries: list[LexiconEntry]):
         self.entries = {e.tokens: e for e in entries}
@@ -91,6 +97,7 @@ class ConnectiveLexicon:
             self._by_first.setdefault(entry.tokens[0], []).append(entry)
         for group in self._by_first.values():
             group.sort(key=lambda e: -len(e.tokens))
+        self._tagged: dict[tuple, PostDiscourse] = {}  # (tokens, sentences) -> tag_post's result
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -145,7 +152,13 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
     its discourse prior is >= ``DEFAULT_TAU``, or it opens a sentence, or it
     touches a comma. The sense is the argmax of the entry's sense weights.
     """
-    tokens = tok.tokens
+    key = (tok.tokens, tok.sentences)
+    if (found := lexicon._tagged.get(key)) is None:
+        found = lexicon._tagged[key] = _match_connectives(*key, lexicon)
+    return found
+
+
+def _match_connectives(tokens, sentences, lexicon: ConnectiveLexicon) -> PostDiscourse:
     n = len(tokens)
     by_first = lexicon._by_first
     matches: list[tuple[int, int, LexiconEntry]] = []
@@ -155,7 +168,7 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
             if end <= n and tokens[i:end] == entry.tokens:
                 matches.append((i, end, entry))
     if not matches:
-        return PostDiscourse(tags=())
+        return _UNTAGGED
     matches.sort(key=lambda m: (m[0] - m[1], m[0]))  # longer first, then leftmost
     used = [False] * n
     resolved: list[tuple[int, int, LexiconEntry]] = []
@@ -166,7 +179,7 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
             used[k] = True
         resolved.append((start, end, entry))
 
-    sentence_starts = {s for s, _e in tok.sentences}
+    sentence_starts = {s for s, _e in sentences}
     tagged: list[TaggedConnective] = []
     for start, end, entry in resolved:
         cue = (
@@ -175,11 +188,9 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
             or (end < n and tokens[end] == ",")
         )
         if entry.discourse_prior >= DEFAULT_TAU or cue:
-            tagged.append(
-                TaggedConnective(start=start, end=end, surface=entry.surface, sense=entry.sense)
-            )
+            tagged.append(TaggedConnective(start, end, entry.surface, entry.sense))
     tagged.sort(key=lambda t: t.start)
-    return PostDiscourse(tags=tuple(tagged))
+    return PostDiscourse(tags=tuple(tagged)) if tagged else _UNTAGGED
 
 
 # Imported tags, keyed by (course_id, thread_id, post_id).

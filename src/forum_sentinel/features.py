@@ -11,7 +11,8 @@ lexical block depends on the fold only through the vocabulary. Beside the
 cached ``prepare_thread`` tokens, ``_lexical_profile`` therefore caches each
 thread's content-filtered unigram counts and its structural values once;
 ``build_vocabulary`` reads its keys and each fold only filters the counts by
-its vocabulary. The cached values are shared and never mutated.
+its vocabulary. The cached values are shared and never mutated. Tagging is
+memoized per lexicon (see ``discourse``), so each post is matched only once.
 
 The 25 discourse feature names, in frozen order: ``pdtb.total``; then for
 each sense (temporal, contingency, comparison, expansion) the pair

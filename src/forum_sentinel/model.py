@@ -129,10 +129,11 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
     def hessp(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, at["theta"]):
             probability(theta, X @ theta[:-1] + theta[-1])
-        u = at["d"] * (X @ v[:-1] + v[-1])
-        product = np.append(XT @ u + lam * v[:-1], u.sum())
-        if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
-            raise ValueError("the fit overflowed: feature values are too large")
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow, not numpy
+            u = at["d"] * (X @ v[:-1] + v[-1])
+            product = np.append(XT @ u + lam * v[:-1], u.sum())
+            if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
+                raise ValueError("the fit overflowed: feature values are too large")
         return product
 
     return fun, hessp

@@ -25,6 +25,7 @@ _TIME_RE = re.compile(r"(?<![\d:])\d{1,2}:\d{2}(?::\d{2})?(?![\d:])")
 # heuristic equation: a whitespace-delimited run with >=2 operator chars (=+^/\) and a digit; the pattern
 # picks out runs with the operators, trying run starts only so each run is scanned once; _is_equation_run does the rest
 _EQU_RUN_RE = re.compile(r"(?<!\S)(?=[^\s=+^/\\]*[=+^/\\][^\s=+^/\\]*[=+^/\\])\S+")
+_EQU_MIN_OPS = 2  # a text with fewer operator chars in all holds no such run, so the pass is skipped
 # characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
@@ -81,7 +82,8 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
             return "EQU"
         return m.group()
 
-    text = _EQU_RUN_RE.sub(equ_run, text)
+    if sum(map(text.count, "=+^/\\")) >= _EQU_MIN_OPS:
+        text = _EQU_RUN_RE.sub(equ_run, text)
     return text, counts
 
 

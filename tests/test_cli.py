@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -259,6 +262,19 @@ class TestConfigAndErrors:
         path.write_text(dump, "utf-8")
         assert main(["train", "--features-file", str(path), "--out", str(tmp_path)]) == 2
         assert "feature dump" in capsys.readouterr().err
+
+    def test_overflowing_feature_dump_exits_2_without_a_numpy_warning(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        path.write_text("#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e100\n"
+                        "C1\tt2\tnot_intervened\nC1\tt3\tintervened\n", "utf-8")
+        src = str(resources.files("forum_sentinel").parent)
+        proc = subprocess.run(  # a child process, so warnings print to stderr as they do for a user
+            [sys.executable, "-W", "default", "-m", "forum_sentinel.cli", "train", "--features-file", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "overflowed" in proc.stderr and "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize(
         "flag, content, code",

@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forum_sentinel import discourse
+from forum_sentinel.corpus import filter_and_label
 from forum_sentinel.discourse import (
     SENSES,
     LexiconError,
@@ -17,8 +21,11 @@ from forum_sentinel.discourse import (
     tag_post,
     tag_thread,
 )
+from forum_sentinel.evaluation import run_loo_ccv
 from forum_sentinel.features import prepare_thread
-from forum_sentinel.textprep import prepare_text
+from forum_sentinel.model import TrainConfig
+from forum_sentinel.syngen import GenSpec, generate_threads
+from forum_sentinel.textprep import TokenizedPost, prepare_text
 
 from conftest import make_thread
 
@@ -154,6 +161,56 @@ class TestTagPost:
         path = write_lexicon(tmp_path, [("maybe", 0.9, 0.5, 0.5, 0.5, 0.5)])
         got = tags_of("it will maybe work", load_lexicon(path))
         assert got == [("maybe", SenseTag.TEMPORAL)]
+
+
+_WARM = load_lexicon()  # shared by every example below, so its memo fills up as they run
+_MEMO_TOKENS = sorted({t for e in _WARM.entries.values() for t in e.tokens} | {",", ".", "alpha", "beta"})
+
+
+@st.composite
+def _post_and_bounds(draw):
+    """A token stream and two ways to split it into sentences."""
+    tokens = tuple(draw(st.lists(st.sampled_from(_MEMO_TOKENS), max_size=30)))
+
+    def bounds():
+        cuts = draw(st.sets(st.integers(1, len(tokens) - 1))) if len(tokens) > 1 else ()
+        edges = [0, *sorted(cuts), len(tokens)] if tokens else []
+        return tuple(zip(edges, edges[1:]))
+
+    return tokens, bounds(), bounds()
+
+
+class TestTagMemo:
+    def test_equal_tokens_with_other_sentence_bounds_are_tagged_apart(self, tmp_path):
+        lex = load_lexicon(write_lexicon(tmp_path, [("so", 0.2, 0, 1, 0, 0)]))  # low prior: needs a cue
+        tokens = ("it", "failed", "so", "we", "wait")
+        one = TokenizedPost(tokens=tokens, sentences=((0, 5),))
+        two = TokenizedPost(tokens=tokens, sentences=((0, 2), (2, 5)))
+        assert tag_post(one, lex).tags == ()
+        assert [(t.surface, t.start) for t in tag_post(two, lex).tags] == [("so", 2)]  # opens a sentence
+        assert tag_post(one, lex).tags == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_post_and_bounds())
+    def test_warm_lexicon_tags_like_a_fresh_one(self, drawn):
+        tokens, first, second = drawn
+        for sentences in (first, second, first):
+            tok = TokenizedPost(tokens=tokens, sentences=sentences)
+            assert tag_post(tok, _WARM) == tag_post(tok, load_lexicon())
+
+    def test_cross_course_evaluation_matches_each_distinct_post_once(self, monkeypatch):
+        spec = GenSpec(n_courses=3, threads_per_course=20, intervention_ratio=0.3, vocabulary_disjointness=0.5,
+                       discourse_signal_strength=0.9, seed=5)
+        threads = filter_and_label(generate_threads(spec))
+        distinct = {(tok.tokens, tok.sentences) for thread in threads for tok in prepare_thread(thread)}
+        tagged, matched = [], []
+        tag, match = discourse.tag_post, discourse._match_connectives
+        monkeypatch.setattr(discourse, "tag_post", lambda *args: tagged.append(1) or tag(*args))
+        monkeypatch.setattr(discourse, "_match_connectives", lambda *args: matched.append(1) or match(*args))
+        run_loo_ccv(threads, "pdtb", load_lexicon(), TrainConfig())
+        # every thread is in two training splits and one test split
+        assert len(tagged) == 3 * sum(len(thread.posts) for thread in threads)
+        assert len(matched) == len(distinct)
 
 
 class TestTagThread:

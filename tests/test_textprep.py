@@ -139,10 +139,15 @@ _EQUATION_PIECES = [
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_EQUATION_PIECES), max_size=30).map("".join))
 @example("x\u00b2+y\u00b2=1 and 1/2+1/3 but not a+b=c or EQU")
+@example("no operator in 42 here")  # 0 operators: the run pass is skipped
+@example("1=2")  # 1 operator: skipped, and no run can qualify
+@example("x=2+1")  # 2 operators in one run: an equation
+@example("x=2 and y+1")  # 2 operators in two runs: the pass runs, neither run qualifies
 def test_equation_pattern_matches_the_per_run_callback(text):
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:  # the oracle visits every run, skipping no text
         patch.setattr(textprep, "_EQU_RUN_RE", re.compile(r"\S+"))
         patch.setattr(textprep, "_is_equation_run", _is_equation_run_per_run)
+        patch.setattr(textprep, "_EQU_MIN_OPS", 0)
         oracle = replace_nonlexical(text)
     assert replace_nonlexical(text) == oracle
 
