@@ -67,6 +67,14 @@ def _load_filtered(corpus_path: str):
     return filter_and_label(load_corpus(corpus_path).threads)
 
 
+def _tags(args: argparse.Namespace):
+    """The command's tag source: the --tags table if given, else the lexicon;
+    None, and nothing read, when its features use no tags."""
+    if args.command != "tag" and args.features not in features.DISCOURSE_CONFIGS:
+        return None
+    return load_tag_import(args.tags) if args.tags else load_lexicon(args.lexicon)
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         l2_lambda=args.l2, max_iterations=args.max_iter, convergence_tol=args.tol,
@@ -95,15 +103,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_tag(args) -> int:
     threads = _load_filtered(args.corpus)
-    lexicon = load_lexicon(args.lexicon)
-    imports = load_tag_import(args.tags) if args.tags else None
+    tags = _tags(args)
     lines = []
     taggings = []
     for thread in threads:
-        tokenized = list(prepare_thread(thread))
-        tags = tag_thread(thread, tokenized, lexicon, imported=imports)
-        taggings.append(tags)
-        lines.extend(format_tag_records(thread, tags))
+        taggings.append(tag_thread(thread, list(prepare_thread(thread)), tags))
+        lines.extend(format_tag_records(thread, taggings[-1]))
     out = _out_dir(args) / "tags.tsv"
     out.write_bytes(("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
     dist = sense_distribution(taggings)
@@ -118,16 +123,11 @@ def cmd_tag(args) -> int:
 
 def cmd_featurize(args) -> int:
     threads = _load_filtered(args.corpus)
-    lexicon = load_lexicon(args.lexicon) if args.features in features.DISCOURSE_CONFIGS else None
-    imports = load_tag_import(args.tags) if args.tags else None
+    tags = _tags(args)
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
     vocabulary = build_vocabulary(threads) if args.features in features.LEXICAL_CONFIGS else None
-    data = vectorize(
-        threads, args.features,
-        vocabulary=vocabulary, lexicon=lexicon,
-        tag_imports=imports, unigram_mode=args.unigrams,
-    )
+    data = vectorize(threads, args.features, vocabulary=vocabulary, tags=tags, unigram_mode=args.unigrams)
     space = features.build_space(args.features, vocabulary)
     lines = ["#space\t" + "\t".join((args.features,) + space.names)]
     for thread, (vec, label) in zip(threads, data):
@@ -189,20 +189,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     threads = _load_filtered(args.corpus)
-    lexicon = load_lexicon(args.lexicon) if args.features in features.DISCOURSE_CONFIGS else None
-    imports = load_tag_import(args.tags) if args.tags else None
+    if not threads:
+        raise InputError(f"no thread of {args.corpus} is left after filtering, so there is nothing to evaluate")
+    tags = _tags(args)
     train_config = _train_config(args)
     if args.regime == "in-domain":
         report = evaluation.run_in_domain(
-            threads, args.features, lexicon, train_config,
-            k=args.k, seed=train_config.seed, fold_mode=args.fold_metrics,
-            tag_imports=imports, unigram_mode=args.unigrams,
+            threads, args.features, tags, train_config,
+            k=args.k, seed=train_config.seed, fold_mode=args.fold_metrics, unigram_mode=args.unigrams,
         )
     else:
-        report = evaluation.run_loo_ccv(
-            threads, args.features, lexicon, train_config,
-            tag_imports=imports, unigram_mode=args.unigrams,
-        )
+        report = evaluation.run_loo_ccv(threads, args.features, tags, train_config, unigram_mode=args.unigrams)
     renderers = {
         "table": (evaluation.render_table, "report.txt"),
         "csv": (evaluation.render_csv, "report.csv"),
@@ -234,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("--corpus", help="line-delimited corpus file (required, as a flag or config key)")
     discourse = argparse.ArgumentParser(add_help=False)
-    discourse.add_argument("--lexicon", help="connective lexicon (default: shipped)")
-    discourse.add_argument("--tags", help="tag-import file; echoed verbatim when given")
+    discourse.add_argument("--lexicon", help="connective lexicon (default: shipped); unread with --tags or edm15 features")
+    discourse.add_argument("--tags", help="tag-import file, used verbatim instead of the lexicon; unread for edm15 features")
     vectors = argparse.ArgumentParser(add_help=False)
     vectors.add_argument("--features", choices=features.FEATURE_CONFIGS, default="eplusp")
     vectors.add_argument("--unigrams", choices=("counts", "binary"), default="counts")

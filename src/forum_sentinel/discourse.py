@@ -5,8 +5,9 @@ wins); a match counts as a discourse connective when its lexicon prior clears
 a threshold or a positional cue fires, and receives the top-level sense with
 the highest lexicon weight. Only the four top-level senses exist here, and
 connectives never cross post boundaries. Externally produced tags can be
-swapped in through the tag-import file format, making the downstream feature
-pipeline tagger-agnostic.
+swapped in through the tag-import file format: ``tag_thread`` takes either
+source as its one ``tags`` argument, so the feature pipeline above it is
+tagger-agnostic.
 
 A lexicon remembers each post it tagged, by tokens and sentence bounds (the
 cues read both), so evaluation folds that score a post again reuse its tags.
@@ -200,20 +201,21 @@ TagImport = dict[tuple[str, str, str], tuple[tuple[int, int, SenseTag], ...]]
 def tag_thread(
     thread: Thread,
     tokenized_posts: list[TokenizedPost],
-    lexicon: ConnectiveLexicon,
-    imported: TagImport | None = None,
+    tags: ConnectiveLexicon | TagImport | None,
 ) -> list[PostDiscourse]:
     """Tag every post of a thread independently (never across posts).
 
-    When an import table is supplied its (span, sense) triples are returned
-    verbatim for each post instead of running the matcher.
+    ``tags`` is the tag source: a lexicon runs the matcher, and an import
+    table's (span, sense) triples are returned verbatim for each post.
     """
-    if imported is None:
-        return [tag_post(tok, lexicon) for tok in tokenized_posts]
+    if isinstance(tags, ConnectiveLexicon):
+        return [tag_post(tok, tags) for tok in tokenized_posts]
+    if tags is None:
+        raise ValueError("tagging needs a connective lexicon or imported tags")
     out: list[PostDiscourse] = []
     for post, tok in zip(thread.posts, tokenized_posts):
-        triples = imported.get((thread.course_id, thread.thread_id, post.post_id), ())
-        tags = []
+        triples = tags.get((thread.course_id, thread.thread_id, post.post_id), ())
+        found = []
         prev_end = -1
         for start, end, sense in sorted(triples, key=lambda t: t[:2]):  # a repeated span is an overlap
             if not (0 <= start < end <= len(tok.tokens)):
@@ -223,15 +225,8 @@ def tag_thread(
             if start < prev_end:
                 raise LexiconError(f"imported spans overlap in post {post.post_id!r}")
             prev_end = end
-            tags.append(
-                TaggedConnective(
-                    start=start,
-                    end=end,
-                    surface=" ".join(tok.tokens[start:end]),
-                    sense=sense,
-                )
-            )
-        out.append(PostDiscourse(tags=tuple(tags)))
+            found.append(TaggedConnective(start, end, " ".join(tok.tokens[start:end]), sense))
+        out.append(PostDiscourse(tags=tuple(found)))
     return out
 
 

@@ -170,9 +170,8 @@ def _fit_and_score(
     train_threads: list[Thread],
     test_threads: list[Thread],
     feature_config: str,
-    lexicon: ConnectiveLexicon | None,
+    tags: ConnectiveLexicon | TagImport | None,
     train_config: TrainConfig,
-    tag_imports: TagImport | None,
     unigram_mode: str,
 ) -> tuple[ConfusionCounts, int, bool]:
     """Fit on one split and score its test side; the flag marks a training
@@ -180,7 +179,7 @@ def _fit_and_score(
     get the training class, or not-intervened when the split is empty. The log
     line names the ``fold``: (course id, split number, split count)."""
     vocabulary = build_vocabulary(train_threads) if feature_config in LEXICAL_CONFIGS else None
-    kwargs = dict(vocabulary=vocabulary, lexicon=lexicon, tag_imports=tag_imports, unigram_mode=unigram_mode)
+    kwargs = dict(vocabulary=vocabulary, tags=tags, unigram_mode=unigram_mode)
     train_data = vectorize(train_threads, feature_config, **kwargs)
     classes = {label for _vec, label in train_data}
     degenerate = len(classes) < 2
@@ -196,8 +195,7 @@ def _fit_and_score(
 
 
 def _evaluate(
-    regime, plan, feature_config, lexicon, train_config, tag_imports, unigram_mode,
-    fold_mode="pooled", extra_config=None,
+    regime, plan, feature_config, tags, train_config, unigram_mode, fold_mode="pooled", extra_config=None,
 ) -> EvalReport:
     """Score a plan of ``(course_id, n_threads, [(train, test), ...])`` entries
     in course order. A course's counts pool over its splits;
@@ -208,8 +206,7 @@ def _evaluate(
     per_course = []
     for course_id, n_threads, splits in plan:
         scored = [
-            _fit_and_score((course_id, i, len(splits)), train, test, feature_config, lexicon, train_config,
-                           tag_imports, unigram_mode)
+            _fit_and_score((course_id, i, len(splits)), train, test, feature_config, tags, train_config, unigram_mode)
             for i, (train, test) in enumerate(splits, 1)
         ]
         fold_counts, sizes, degenerate = zip(*scored)
@@ -233,13 +230,12 @@ def _evaluate(
 def run_in_domain(
     threads: list[Thread],
     feature_config: str,
-    lexicon: ConnectiveLexicon | None,
+    tags: ConnectiveLexicon | TagImport | None,
     train_config: TrainConfig,
     k: int = 5,
     seed: int = 0,
     jobs: int = 1,  # accepted and ignored: evaluation runs serially
     fold_mode: str = "pooled",
-    tag_imports: TagImport | None = None,
     unigram_mode: str = "counts",
 ) -> EvalReport:
     """Stratified k-fold cross validation run separately within each course."""
@@ -253,7 +249,7 @@ def run_in_domain(
         ]
         plan.append((cid, len(course_threads), splits))
     return _evaluate(
-        "in-domain", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode,
+        "in-domain", plan, feature_config, tags, train_config, unigram_mode,
         fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode, "seed": seed},  # seed split the folds
     )
 
@@ -261,10 +257,9 @@ def run_in_domain(
 def run_loo_ccv(
     threads: list[Thread],
     feature_config: str,
-    lexicon: ConnectiveLexicon | None,
+    tags: ConnectiveLexicon | TagImport | None,
     train_config: TrainConfig,
     jobs: int = 1,  # accepted and ignored: evaluation runs serially
-    tag_imports: TagImport | None = None,
     unigram_mode: str = "counts",
 ) -> EvalReport:
     """Leave-one-course-out: train on all other courses, test on the held-out one."""
@@ -275,7 +270,7 @@ def run_loo_ccv(
         (cid, len(test), [([t for other, ts in grouped.items() if other != cid for t in ts], test)])
         for cid, test in grouped.items()
     ]
-    return _evaluate("ccv", plan, feature_config, lexicon, train_config, tag_imports, unigram_mode)
+    return _evaluate("ccv", plan, feature_config, tags, train_config, unigram_mode)
 
 
 def render_records(report: EvalReport) -> str:

@@ -257,16 +257,14 @@ def vectorize(
     threads: list[Thread],
     config: str,
     vocabulary: Vocabulary | None = None,
-    lexicon: ConnectiveLexicon | None = None,
-    tag_imports: TagImport | None = None,
+    tags: ConnectiveLexicon | TagImport | None = None,
     unigram_mode: str = "counts",
 ) -> list[tuple[FeatureVector, int]]:
-    """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened."""
+    """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened.
+    A config with the discourse block tags each thread from ``tags``, a lexicon or an import table."""
     space = build_space(config, vocabulary)
     needs_lexical = config in LEXICAL_CONFIGS
     needs_discourse = config in DISCOURSE_CONFIGS
-    if needs_discourse and lexicon is None and tag_imports is None:
-        raise ValueError(f"config {config!r} requires a lexicon or imported tags")
     binary = unigram_mode == "binary"
     unigram_names = {}
     if needs_lexical:  # rows share the space's name strings, in vocabulary order
@@ -285,7 +283,7 @@ def vectorize(
             values.update(structure)
         if needs_discourse:
             tokenized = prepare_thread(thread)
-            taggings = tag_thread(thread, list(tokenized), lexicon, imported=tag_imports)
+            taggings = tag_thread(thread, list(tokenized), tags)
             values.update(_pdtb_values(taggings, sum(tok.n_tokens for tok in tokenized)))
         label = 1 if thread.label is Label.INTERVENED else 0
         out.append((FeatureVector(values=values, space=space), label))

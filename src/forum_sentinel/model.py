@@ -11,6 +11,7 @@ are cross-checks, and with lambda>0 all three must agree on the unique optimum.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -202,7 +203,8 @@ _OPTIMIZERS = {"newton": _optimize_newton, "lbfgs": _optimize_lbfgs, "gd": _opti
 
 
 def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> MaxentModel:
-    """Fit the classifier; deterministic given (dataset order, config, seed)."""
+    """Fit the classifier, deterministic given the dataset in its order and the config;
+    the fit draws nothing at random, so ``config.seed`` plays no part in it."""
     if method not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {method!r}")
     space = _dataset_space(dataset)
@@ -279,86 +281,57 @@ def save_model(model: MaxentModel, path: str | Path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-class _LineReader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.offset = 0
-
-    def next_line(self, what: str) -> str:
-        if self.offset >= len(self.raw):
-            raise ModelFormatError(f"truncated model file: expected {what} at byte {self.offset}")
-        end = self.raw.find(b"\n", self.offset)
-        if end == -1:
-            raise ModelFormatError(
-                f"truncated model file: unterminated {what} at byte {self.offset}"
-            )
-        try:
-            line = self.raw[self.offset : end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError(f"{what} at byte {self.offset} is not UTF-8") from None
-        self.offset = end + 1
-        return line
-
-
 def load_model(path: str | Path) -> MaxentModel:
-    reader = _LineReader(Path(path).read_bytes())
-    at = lambda: reader.offset  # noqa: E731
-
-    if reader.next_line("header") != MODEL_FORMAT_HEADER:
+    """Read a model file strictly; a fault raises ModelFormatError with the byte offset of its line."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(f"{MODEL_FORMAT_HEADER}\n".encode()):
         raise ModelFormatError("not a forum-sentinel model file (bad header at byte 0)")
+    lines = raw.split(b"\n")  # the last item follows the final LF, so it is never a whole line
+    starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
+    at = 0  # index of the line being parsed
 
-    def parse_kv(line: str, tag: str) -> dict[str, str]:
-        parts = line.split("\t")
-        if parts[0] != tag or not all("=" in p for p in parts[1:]):
-            raise ModelFormatError(f"expected {tag!r} line of key=value cells at byte {at()}")
-        return dict(p.split("=", 1) for p in parts[1:])
+    def cells(tag: str, count: int) -> list[str]:
+        """The ``count`` cells after the tag of the next line, which must be a ``tag`` line."""
+        nonlocal at
+        at += 1
+        if at == len(lines) - 1:
+            raise ValueError(f"truncated model file: expected a {tag!r} line")
+        parts = lines[at].decode("utf-8").split("\t")
+        if parts[0] != tag or len(parts) != count + 1:
+            raise ValueError(f"expected a {tag!r} line of {count} cells")
+        return parts[1:]
 
-    cfg_kv = parse_kv(reader.next_line("config line"), "config")
-    fit_kv = parse_kv(reader.next_line("fit line"), "fit")
+    def settings(tag: str, count: int) -> dict[str, str]:
+        pairs = [cell.partition("=") for cell in cells(tag, count)]
+        if not all(eq for _key, eq, _value in pairs):
+            raise ValueError(f"a {tag!r} cell is not key=value")
+        return {key: value for key, _eq, value in pairs}
+
     try:
+        cfg_kv = settings("config", len(fields(TrainConfig)) + 1)
         config = TrainConfig(**{f.name: type(f.default)(cfg_kv[f.name]) for f in fields(TrainConfig)})
         if cfg_kv["standardize"] != "0":
             raise ValueError(f"unsupported standardize={cfg_kv['standardize']}")
+        fit_kv = settings("fit", 3)
         if fit_kv["converged"] not in ("0", "1"):
             raise ValueError(f"converged={fit_kv['converged']} is not 0 or 1")
         class_weight_value, n_iterations = float(fit_kv["class_weight"]), int(fit_kv["n_iterations"])
+        space_config, provenance, ndims = cells("space", 3)
+        weights: dict[str, float] = {}
+        for _ in range(int(ndims)):
+            name, value = cells("w", 2)
+            if name in weights:
+                raise ValueError(f"duplicate weight line for {name!r}")
+            weights[name] = float(value)
+        bias = float(cells("bias", 1)[0])
+        cells("end", 0)
     except (KeyError, ValueError) as exc:
-        raise ModelFormatError(f"bad config or fit line ({exc}) before byte {at()}") from None
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ModelFormatError(f"bad model file line at byte {starts[at]}: {reason}") from None
+    if starts[at + 1] < len(raw):
+        raise ModelFormatError(f"bytes after the end line at byte {starts[at + 1]}")
 
-    space_line = reader.next_line("space line").split("\t")
-    if len(space_line) != 4 or space_line[0] != "space":
-        raise ModelFormatError(f"expected space line at byte {at()}")
-    _tag, space_config, provenance, ndims_s = space_line
-    try:
-        ndims = int(ndims_s)
-    except ValueError:
-        raise ModelFormatError(f"bad dimension count before byte {at()}") from None
-
-    names: list[str] = []
-    weights: dict[str, float] = {}
-    for _ in range(ndims):
-        parts = reader.next_line("weight line").split("\t")
-        if len(parts) != 3 or parts[0] != "w":
-            raise ModelFormatError(f"expected weight line at byte {at()}")
-        if parts[1] in weights:
-            raise ModelFormatError(f"duplicate weight line for {parts[1]!r} before byte {at()}")
-        try:
-            weights[parts[1]] = float(parts[2])
-        except ValueError:
-            raise ModelFormatError(f"bad weight value before byte {at()}") from None
-        names.append(parts[1])
-
-    bias_parts = reader.next_line("bias line").split("\t")
-    if len(bias_parts) != 2 or bias_parts[0] != "bias":
-        raise ModelFormatError(f"expected bias line at byte {at()}")
-    try:
-        bias = float(bias_parts[1])
-    except ValueError:
-        raise ModelFormatError(f"bad bias value before byte {at()}") from None
-    if reader.next_line("end marker") != "end":
-        raise ModelFormatError(f"expected end marker at byte {at()}")
-
-    space = FeatureSpace(tuple(names), space_config)
+    space = FeatureSpace(tuple(weights), space_config)
     if space.provenance != provenance:
         raise ModelFormatError("feature-space hash mismatch: file is corrupt or edited")
     return MaxentModel(

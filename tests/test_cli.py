@@ -159,6 +159,30 @@ class TestEval:
         header = (out / "report.csv").read_text().splitlines()[0]
         assert header == "course,n_threads,precision,recall,f1"
 
+    @pytest.mark.parametrize("regime", ["in-domain", "ccv"])
+    def test_no_thread_left_after_filtering_exits_2(self, regime, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        dropped = [record(tid="t1", subforum="study_group"), record(tid="t2", posts=[post_obj(0, role="instructor")])]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in dropped), "utf-8")
+        assert main(["eval", "--corpus", str(corpus), "--regime", regime, "--out", str(tmp_path / "o")]) == 2
+        assert "no thread of" in capsys.readouterr().err
+
+
+class TestTagSource:
+    """A command reads the lexicon or the tag-import file only when its features use tags."""
+
+    def test_lexicon_is_unread_when_tags_are_imported(self, syn_corpus, tmp_path, capsys):
+        assert main(["tag", "--corpus", str(syn_corpus), "--out", str(tmp_path / "t")]) == 0
+        args = ["eval", "--corpus", str(syn_corpus), "--features", "pdtb", "--tags", str(tmp_path / "t" / "tags.tsv")]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--lexicon", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "report.txt").read_bytes() == (tmp_path / "b" / "report.txt").read_bytes()
+
+    def test_tags_are_unread_for_lexical_features(self, small_corpus, tmp_path, capsys):
+        argv = ["featurize", "--corpus", str(small_corpus), "--features", "edm15",
+                "--tags", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+
 
 class TestSyngenCommand:
     def test_generates_corpus(self, tmp_path, capsys):

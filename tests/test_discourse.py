@@ -254,18 +254,18 @@ class TestTagImport:
         path = tmp_path / "tags.tsv"
         path.write_text("\n".join(format_tag_records(thread, native)) + "\n", "utf-8")
         imported = load_tag_import(path)
-        echoed = tag_thread(thread, toks, lex, imported=imported)
+        echoed = tag_thread(thread, toks, imported)
         assert echoed == native
 
     def test_missing_post_is_empty(self, tmp_path):
         thread = make_thread(["student"], texts=["But why"])
-        echoed = tag_thread(thread, list(prepare_thread(thread)), load_lexicon(), imported={})
+        echoed = tag_thread(thread, list(prepare_thread(thread)), {})
         assert echoed == [PostDiscourse(tags=())]
 
     def test_imported_overrides_matcher(self):
         thread = make_thread(["student"], texts=["no connectives here at all"])
         imports = {("C1", "t1", "p0"): ((0, 1, SenseTag.EXPANSION),)}
-        (disc,) = tag_thread(thread, list(prepare_thread(thread)), load_lexicon(), imported=imports)
+        (disc,) = tag_thread(thread, list(prepare_thread(thread)), imports)
         assert disc.tags[0].sense is SenseTag.EXPANSION
         assert disc.tags[0].surface == "no"
 
@@ -273,7 +273,7 @@ class TestTagImport:
         thread = make_thread(["student"], texts=["short"])
         imports = {("C1", "t1", "p0"): ((0, 99, SenseTag.EXPANSION),)}
         with pytest.raises(LexiconError, match="out of range"):
-            tag_thread(thread, list(prepare_thread(thread)), load_lexicon(), imported=imports)
+            tag_thread(thread, list(prepare_thread(thread)), imports)
 
 
 class TestSenseDistribution:

@@ -288,7 +288,7 @@ class TestProtocols:
         negatives = [t for t in _syn_threads(n_courses=1) if t.label is not Label.INTERVENED]
         with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
             evaluation._fit_and_score(
-                ("SYN-0", 2, 5), negatives[:10], negatives[10:12], "pdtb", load_lexicon(), TrainConfig(), None, "counts"
+                ("SYN-0", 2, 5), negatives[:10], negatives[10:12], "pdtb", load_lexicon(), TrainConfig(), "counts"
             )
         assert caplog.records[-1].getMessage() == (
             "course SYN-0 split 2 of 5: 10 train / 2 test threads, vocabulary 0, degenerate"

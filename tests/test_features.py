@@ -108,7 +108,7 @@ class TestPdtbFeatures:
         lex = load_lexicon()
         t1 = make_thread(["student"], texts=["But if alpha is beta then gamma happens"])
         t2 = make_thread(["student"], texts=["But if delta is omega then sigma happens"])
-        v1, v2 = (vectorize([t], "pdtb", lexicon=lex)[0][0] for t in (t1, t2))
+        v1, v2 = (vectorize([t], "pdtb", tags=lex)[0][0] for t in (t1, t2))
         assert v1.values == v2.values
 
 
@@ -209,7 +209,7 @@ class TestVectorize:
         return [pos, neg]
 
     def test_pdtb_vectors_have_25_dims(self):
-        data = vectorize(self._threads(), "pdtb", lexicon=load_lexicon())
+        data = vectorize(self._threads(), "pdtb", tags=load_lexicon())
         for vec, _label in data:
             assert len(vec.space) == 25
 
@@ -217,7 +217,7 @@ class TestVectorize:
         threads = self._threads()
         vocab = build_vocabulary(threads)
         lex = load_lexicon()
-        d_ep = vectorize(threads, "eplusp", vocabulary=vocab, lexicon=lex)
+        d_ep = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
         d_e = vectorize(threads, "edm15", vocabulary=vocab)
         assert len(d_ep[0][0].space) == len(d_e[0][0].space) + 25
         # the shared block is an exact copy
@@ -229,12 +229,12 @@ class TestVectorize:
         threads = self._threads()
         vocab = build_vocabulary(threads)
         lex = load_lexicon()
-        a = vectorize(threads, "eplusp", vocabulary=vocab, lexicon=lex)
-        b = vectorize(threads, "eplusp", vocabulary=vocab, lexicon=lex)
+        a = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
+        b = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
         assert [(v.values, y) for v, y in a] == [(v.values, y) for v, y in b]
 
     def test_labels(self):
-        data = vectorize(self._threads(), "pdtb", lexicon=load_lexicon())
+        data = vectorize(self._threads(), "pdtb", tags=load_lexicon())
         assert [y for _v, y in data] == [1, 0]
 
     def test_missing_resources_error(self):
@@ -246,7 +246,7 @@ class TestVectorize:
     def test_unlabeled_thread_rejected(self):
         raw = make_thread(["student"], labeled=False)
         with pytest.raises(ValueError, match="unlabeled"):
-            vectorize([raw], "pdtb", lexicon=load_lexicon())
+            vectorize([raw], "pdtb", tags=load_lexicon())
 
     def test_binary_unigram_mode(self):
         thread = make_thread(["student"], texts=["alpha alpha alpha"])
@@ -292,7 +292,7 @@ def test_rows_do_not_depend_on_earlier_vocabularies(config, unigram_mode):
     half = len(threads) // 2
     vocab_a, vocab_b = build_vocabulary(threads[:half]), build_vocabulary(threads[half:])
     assert vocab_a.index != vocab_b.index
-    kwargs = dict(lexicon=load_lexicon(), unigram_mode=unigram_mode)
+    kwargs = dict(tags=load_lexicon(), unigram_mode=unigram_mode)
     first_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
     under_b = _rows(vectorize(threads, config, vocabulary=vocab_b, **kwargs))
     again_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))

@@ -441,6 +441,17 @@ class TestSaveLoad:
             with pytest.raises(ModelFormatError, match=r"byte \d+"):
                 load_model(tmp_path / "cut.txt")
 
+    @pytest.mark.parametrize("extra", [b"w\tzz\t\xff\n", b"w\tzz\t\xff", b"\n", b"end\n"],
+                             ids=["line", "unterminated", "blank-line", "second-end"])
+    def test_bytes_after_end_line_name_their_offset(self, extra, tmp_path):
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ModelFormatError, match=rf"byte {size}\b"):
+            load_model(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("something else\n", "utf-8")

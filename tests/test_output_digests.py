@@ -28,6 +28,8 @@ DIGESTS = {
     "featurize-eplusp": "28e316fa400c37474f8f72a5c0bb3d152ac3d785dd587f4c205ee47fae02d396",
     "eval-edm15-ccv+binary": "7c88bd07fc28e96e48e0aa5b474699b9154f670a40127cefae3b5f3bc1a8c5b1",
     "eval-eplusp-in-domain+tags": "6588caa80332acfd2fb962d76854f5c5d28b381983dba1b79d936336ef6d3e24",
+    "featurize-pdtb+tags": "44e43c8e99bdb640a668b629a47b5b91c354d1a9039cf574fae17c3665cfbcd5",
+    "eval-pdtb-ccv+tags": "5ca76491a9d8de09fb62f16c8676b6e325954e4038c43d22d425087cf6d56ca9",
 }
 
 
