@@ -42,7 +42,6 @@ from .evaluation import (
     prf1,
     run_in_domain,
     run_loo_ccv,
-    significance,
     stratified_kfold,
     weighted_macro_average,
 )

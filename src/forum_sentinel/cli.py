@@ -286,10 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         logger.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -60,7 +60,8 @@ class SubForumType(str, Enum):
     TECHNICAL_ISSUES = "technical_issues"
 
 
-# Sub-forums whose threads enter the prediction task; the other four are
+# Sub-forums whose threads enter the prediction task, in the order of the
+# forum.* feature columns and of syngen's draws; the other four are
 # dropped as noise during filtering.
 CONTENT_SUBFORUMS = (
     SubForumType.ERRATA,

@@ -80,9 +80,6 @@ class TaggedConnective:
 class PostDiscourse:
     tags: tuple[TaggedConnective, ...]
 
-    def senses(self) -> tuple[SenseTag, ...]:
-        return tuple(t.sense for t in self.tags)
-
     def __len__(self) -> int:
         return len(self.tags)
 

@@ -15,9 +15,7 @@ import logging
 import random
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .corpus import Label, Thread, by_course
+from .corpus import InputError, Label, Thread, by_course
 from .discourse import ConnectiveLexicon, TagImport
 from .features import LEXICAL_CONFIGS, build_vocabulary, vectorize
 from .model import TrainConfig, predict, train as train_model
@@ -64,11 +62,7 @@ def prf1(counts: ConfusionCounts) -> Metrics:
 
 def macro_average(per_course: list[Metrics]) -> Metrics:
     """Unweighted mean of P and R; F1 derived from the two means."""
-    if not per_course:
-        raise ValueError("no course metrics to average")
-    p = sum(m.precision for m in per_course) / len(per_course)
-    r = sum(m.recall for m in per_course) / len(per_course)
-    return Metrics(precision=p, recall=r, f1=f1_from_pr(p, r))
+    return weighted_macro_average(per_course, [1.0] * len(per_course))
 
 
 def weighted_macro_average(per_course: list[Metrics], weights: list[float]) -> Metrics:
@@ -108,23 +102,6 @@ def stratified_kfold(threads: list[Thread], k: int = 5, seed: int = 0) -> list[l
     return folds
 
 
-def significance(
-    scores_a: list[float], scores_b: list[float], n_rounds: int = 10000, seed: int = 0
-) -> float:
-    """Two-sided approximate-randomization p-value for paired score lists."""
-    if len(scores_a) != len(scores_b):
-        raise ValueError("paired score lists must have equal length")
-    if not scores_a:
-        raise ValueError("empty score lists")
-    d = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
-    observed = abs(float(d.mean()))
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(n_rounds, d.size)) * 2 - 1
-    stats = np.abs((signs * d).mean(axis=1))
-    count = int(np.sum(stats >= observed - 1e-12))
-    return (count + 1) / (n_rounds + 1)
-
-
 @dataclass
 class CourseResult:
     course_id: str
@@ -137,9 +114,7 @@ class CourseResult:
 
 @dataclass
 class EvalReport:
-    regime: str  # "in-domain" | "ccv"
-    feature_config: str
-    config: dict
+    config: dict  # holds "features" and "regime" ("in-domain" | "ccv") among the settings
     per_course: list[CourseResult]
     macro: Metrics
     weighted_macro: Metrics
@@ -219,7 +194,7 @@ def _evaluate(
     metrics = [c.metrics for c in per_course]
     config = {"features": feature_config, "regime": regime, **asdict(train_config), **(extra_config or {})}
     report = EvalReport(
-        regime, feature_config, config, per_course,
+        config, per_course,
         macro=macro_average(metrics),
         weighted_macro=weighted_macro_average(metrics, [float(c.n_threads) for c in per_course]),
     )
@@ -265,7 +240,7 @@ def run_loo_ccv(
     """Leave-one-course-out: train on all other courses, test on the held-out one."""
     grouped = by_course(threads)
     if len(grouped) < 2:
-        raise ValueError("cross-course validation needs at least 2 courses")
+        raise InputError("cross-course validation needs at least 2 courses")
     plan = [
         (cid, len(test), [([t for other, ts in grouped.items() if other != cid for t in ts], test)])
         for cid, test in grouped.items()
@@ -328,7 +303,7 @@ def render_table(report: EvalReport) -> str:
     rows.append(("Weighted macro avg.", report.weighted_macro))
     name_w = max(len("Course"), max(len(name) for name, _m in rows))
     out = [
-        f"{report.feature_config} / {report.regime}",
+        f"{report.config['features']} / {report.config['regime']}",
         f"{'Course':<{name_w}}  {'P':>6}  {'R':>6}  {'F1':>6}",
     ]
     for name, m in rows:

@@ -6,12 +6,12 @@ contrasts the lexical baseline with the discourse-feature model under both
 evaluation regimes. The designed outcome: the baseline collapses once its
 unigrams stop transferring, while the discourse model keeps working.
 
-Run as a script: python -m forum_sentinel.experiments
+Run as a script, which takes no flags and uses run_domain_shift's defaults:
+python -m forum_sentinel.experiments
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from .corpus import filter_and_label
@@ -57,7 +57,6 @@ def run_domain_shift(
     vocabulary_disjointness: float = 1.0,
     discourse_signal_strength: float = 0.9,
     seed: int = 7,
-    k: int = 5,
 ) -> DomainShiftResult:
     spec = GenSpec(
         n_courses=n_courses,
@@ -71,24 +70,11 @@ def run_domain_shift(
     lexicon = load_lexicon()
     train_config = TrainConfig(seed=seed)
     return DomainShiftResult(
-        edm15_in=run_in_domain(threads, "edm15", None, train_config, k=k, seed=seed),
+        edm15_in=run_in_domain(threads, "edm15", None, train_config, seed=seed),
         edm15_out=run_loo_ccv(threads, "edm15", None, train_config),
         pdtb_out=run_loo_ccv(threads, "pdtb", lexicon, train_config),
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    # flags left unset are absent from args, so run_domain_shift's own defaults apply
-    parser = argparse.ArgumentParser(description="Run the domain-shift experiment", argument_default=argparse.SUPPRESS)
-    parser.add_argument("--courses", type=int, dest="n_courses")
-    parser.add_argument("--threads-per-course", type=int)
-    parser.add_argument("--ratio", type=float, dest="intervention_ratio")
-    parser.add_argument("--disjointness", type=float, dest="vocabulary_disjointness")
-    parser.add_argument("--signal", type=float, dest="discourse_signal_strength")
-    parser.add_argument("--seed", type=int)
-    print(run_domain_shift(**vars(parser.parse_args(argv))).summary())
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(run_domain_shift().summary())

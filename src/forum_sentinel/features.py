@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import Label, SubForumType, Thread
+from .corpus import CONTENT_SUBFORUMS, Label, Thread
 from .discourse import SENSES, ConnectiveLexicon, PostDiscourse, TagImport, tag_thread
 from .textprep import TokenizedPost, content_filter, prepare_text
 
@@ -38,15 +38,8 @@ FEATURE_CONFIGS = ("edm15", "pdtb", "eplusp")
 LEXICAL_CONFIGS = ("edm15", "eplusp")
 DISCOURSE_CONFIGS = ("pdtb", "eplusp")
 
-FORUM_ORDER = (
-    SubForumType.ERRATA,
-    SubForumType.EXAM,
-    SubForumType.LECTURE,
-    SubForumType.HOMEWORK,
-)
-
 STRUCTURAL_NAMES = tuple(
-    [f"forum.{f.value}" for f in FORUM_ORDER]
+    [f"forum.{f.value}" for f in CONTENT_SUBFORUMS]
     + [
         "affirmation",
         "n_posts",

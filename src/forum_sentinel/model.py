@@ -123,7 +123,9 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
         z = X @ w + theta[-1]
         # log(1 + e^z) - y z, elementwise-stable
         nll = np.logaddexp(0.0, z) - y * z
-        loss = float(sample_weight @ nll + 0.5 * lam * (w @ w))
+        # numpy's pairwise sum, not BLAS ddot: a threaded ddot's bits depend on the thread
+        # count, and einsum's coarser sum left trust-ncg short of tol on 10k-row fits
+        loss = float(np.sum(sample_weight * nll) + 0.5 * lam * (w @ w))
         residual = sample_weight * (probability(theta, z) - y)
         return loss, np.append(XT @ residual + lam * w, residual.sum())
 

@@ -24,10 +24,9 @@ import string
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import InputError, Thread, _parse_record
+from .corpus import CONTENT_SUBFORUMS, InputError, Thread, _parse_record
 
 _BASE_EPOCH = 1577836800  # 2020-01-01T00:00:00Z
-_SUBFORUMS = ("errata", "exam", "lecture", "homework")
 _FILLER = (
     "i", "we", "you", "the", "a", "this", "that", "it", "is", "are",
     "was", "do", "have", "not", "to", "of", "in", "my", "our", "how",
@@ -230,7 +229,7 @@ def generate_records(spec: GenSpec) -> list[dict]:
                 {
                     "course_id": course_id,
                     "thread_id": f"t{t:04d}",
-                    "subforum": rng.choice(_SUBFORUMS),
+                    "subforum": rng.choice(CONTENT_SUBFORUMS).value,
                     "posts": posts,
                 }
             )

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forum_sentinel.cli import load_feature_dump, main
+from forum_sentinel import cli
+from forum_sentinel.cli import build_parser, load_feature_dump, main
+from forum_sentinel.evaluation import Metrics, macro_average, weighted_macro_average
 from forum_sentinel.model import load_model
 from forum_sentinel.syngen import GenSpec, generate
 
@@ -167,6 +171,13 @@ class TestEval:
         assert main(["eval", "--corpus", str(corpus), "--regime", regime, "--out", str(tmp_path / "o")]) == 2
         assert "no thread of" in capsys.readouterr().err
 
+    def test_ccv_on_one_course_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        generate(GenSpec(n_courses=1, threads_per_course=10, intervention_ratio=0.3,
+                         vocabulary_disjointness=0.5, discourse_signal_strength=0.8, seed=2), corpus)
+        assert main(["eval", "--corpus", str(corpus), "--regime", "ccv", "--out", str(tmp_path / "o")]) == 2
+        assert "needs at least 2 courses" in capsys.readouterr().err
+
 
 class TestTagSource:
     """A command reads the lexicon or the tag-import file only when its features use tags."""
@@ -261,6 +272,14 @@ class TestConfigAndErrors:
 
     def test_missing_corpus_flag(self, capsys):
         assert main(["ingest"]) == 1
+
+    def test_stray_key_error_is_an_internal_error(self, small_corpus, monkeypatch, capsys):
+        def lookup_fails(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "cmd_ingest", lookup_fails)
+        assert main(["ingest", "--corpus", str(small_corpus)]) == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_malformed_corpus_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -515,6 +534,51 @@ _spec_values = {
 def test_genspec_fuzz_never_internal_error(spec, tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(spec), "utf-8")
     assert main(["syngen", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_courses=st.integers(1, 3), threads=st.integers(1, 8), ratio=st.floats(0, 1), seed=st.integers(0, 2**16),
+    disjointness=st.floats(0, 1), signal=st.floats(0, 1),
+    regime=st.sampled_from(["in-domain", "ccv"]), features=st.sampled_from(["pdtb", "edm15"]),
+)
+def test_eval_fuzz_never_usage_or_internal_error(
+    n_courses, threads, ratio, seed, disjointness, signal, regime, features, tmp_path, capsys,
+):
+    corpus = tmp_path / "corpus.jsonl"
+    generate(GenSpec(n_courses=n_courses, threads_per_course=threads, intervention_ratio=ratio,
+                     vocabulary_disjointness=disjointness, discourse_signal_strength=signal, seed=seed), corpus)
+    argv = ["eval", "--corpus", str(corpus), "--features", features, "--regime", regime, "--emit", "records"]
+    code = main([*argv, "--out", str(tmp_path / "o")])
+    assert code in (0, 2)
+    if code == 0:
+        rows = [json.loads(line) for line in (tmp_path / "o" / "report.jsonl").read_text("utf-8").splitlines()]
+        courses = [row for row in rows if row["row"] == "course"]
+        metrics = [Metrics(row["precision"], row["recall"], row["f1"]) for row in courses]
+        want = {
+            "macro": macro_average(metrics),
+            "weighted_macro": weighted_macro_average(metrics, [float(row["n_threads"]) for row in courses]),
+        }
+        got = {row["row"]: Metrics(row["precision"], row["recall"], row["f1"]) for row in rows if row["row"] in want}
+        assert got == want
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    table = readme[readme.index("| flag | default | subcommands |"):].split("\n\n")[0].splitlines()[2:]
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    documented = {}
+    for row in table:
+        flag, _default, commands = (cell.strip() for cell in row.strip("|").split("|"))
+        option = re.match(r"`(--[a-z0-9-]+)", flag).group(1)
+        assert option not in documented, f"{option} has two rows"
+        documented[option] = set(subparsers.choices) if commands == "all" else set(commands.split(", "))
+    taken = {}
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                taken.setdefault(option, set()).add(name)
+    assert documented == taken
 
 
 @pytest.mark.parametrize("features", ["pdtb", "edm15"])

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import random
 import re
 
-import numpy as np
 import pytest
 
 from forum_sentinel import evaluation
@@ -24,7 +22,6 @@ from forum_sentinel.evaluation import (
     render_table,
     run_in_domain,
     run_loo_ccv,
-    significance,
     stratified_kfold,
     verify_report,
     weighted_macro_average,
@@ -160,39 +157,6 @@ class TestStratifiedKfold:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             stratified_kfold(self._course(2, 2), k=1)
-
-
-class TestSignificance:
-    def test_identical_lists(self):
-        scores = [0.4, 0.6, 0.1, 0.9]
-        assert significance(scores, scores, seed=3) == 1.0
-
-    def test_extreme_difference_vs_exact_enumeration(self):
-        a, b = [1.0] * 10, [0.0] * 10
-        d = np.ones(10)
-        observed = abs(d.mean())
-        hits = 0
-        for signs in itertools.product((-1, 1), repeat=10):
-            if abs(np.mean(np.array(signs) * d)) >= observed:
-                hits += 1
-        exact = hits / 2**10
-        approx = significance(a, b, seed=5)
-        assert approx <= 0.01
-        assert approx == pytest.approx(exact, abs=0.005)
-
-    def test_swap_symmetry(self):
-        rng = random.Random(8)
-        a = [rng.random() for _ in range(12)]
-        b = [rng.random() for _ in range(12)]
-        assert significance(a, b, seed=11) == significance(b, a, seed=11)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            significance([1.0], [1.0, 2.0])
-
-    def test_deterministic(self):
-        a, b = [0.2, 0.5, 0.7], [0.1, 0.6, 0.4]
-        assert significance(a, b, seed=2) == significance(a, b, seed=2)
 
 
 def _syn_threads(n_courses=2, threads_per_course=60, disjointness=1.0, signal=0.9, seed=4, ratio=0.3):

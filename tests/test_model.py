@@ -3,9 +3,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +215,7 @@ class TestMatrixAndObjectiveBits:
             w = theta[:-1]
             z = X @ w + theta[-1]
             residual = sw * (expit(z) - y)
-            loss = float(sw @ (np.logaddexp(0.0, z) - y * z) + 0.5 * lam * (w @ w))
+            loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * (w @ w))
             return loss, np.append(X.T @ residual + lam * w, residual.sum())
 
         def reference_hessp(theta, v):
@@ -234,6 +238,27 @@ class TestMatrixAndObjectiveBits:
             else:
                 v = np.array([rng.gauss(0, 1) for _ in range(7)])
                 assert np.array_equal(hessp(point, v), reference_hessp(point, v))
+
+    def test_loss_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS threads a dot product above 10,000 elements, and a threaded sum
+        # rounds differently; on one core both children sum alike either way
+        script = (
+            "import numpy as np, scipy.sparse as sp\n"
+            "from forum_sentinel.model import _objective\n"
+            "rng = np.random.default_rng(3)\n"
+            "X = sp.random(10_700, 40, density=0.2, random_state=rng, format='csr')\n"
+            "y = (rng.random(10_700) < 0.3).astype(float)\n"
+            "fun, _hessp = _objective(X, y, np.where(y == 1.0, 2.3, 1.0), 1e-4)\n"
+            "print(repr(fun(rng.normal(size=41))[0]))\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(resources.files("forum_sentinel").parent)
+        losses = [
+            subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True, text=True,
+                           timeout=120, check=True).stdout
+            for child_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
+        ]
+        assert losses[0] == losses[1] and losses[0].strip()
 
 
 class TestTrain:
