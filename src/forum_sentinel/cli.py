@@ -127,7 +127,7 @@ def cmd_featurize(args) -> int:
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
     vocabulary = build_vocabulary(threads) if args.features in features.LEXICAL_CONFIGS else None
-    data = vectorize(threads, args.features, vocabulary=vocabulary, tags=tags, unigram_mode=args.unigrams)
+    data = vectorize(threads, args.features, vocabulary=vocabulary, tags=tags)
     space = features.build_space(args.features, vocabulary)
     lines = ["#space\t" + "\t".join((args.features,) + space.names)]
     for thread, (vec, label) in zip(threads, data):
@@ -148,6 +148,7 @@ def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
     space = None
     shared: dict[str, str] = {}  # one string per feature across all rows
+    seen: set[tuple[str, str]] = set()
 
     def parse(line: str):
         nonlocal space
@@ -161,10 +162,16 @@ def load_feature_dump(path: str | Path):
         course_id, thread_id, label, *cells = line.split("\t")
         if label not in ("intervened", "not_intervened"):
             raise ValueError(f"bad label {label!r}")
+        if (course_id, thread_id) in seen:
+            raise ValueError(f"duplicate row for thread_id {thread_id!r} in course {course_id!r}")
+        seen.add((course_id, thread_id))
         values = {}
         for cell in cells:
             name, _, value = cell.rpartition(":")
             values[shared.get(name, name)] = float(value)
+        if len(values) < len(cells):
+            names = [cell.rpartition(":")[0] for cell in cells]
+            raise ValueError(f"duplicate feature {next(n for n in names if names.count(n) > 1)!r} in the row")
         return course_id, thread_id, FeatureVector(values, space), int(label == "intervened")
 
     rows = [row for row in parse_lines(path, "feature dump", parse, FeatureDumpError) if row is not None]
@@ -194,12 +201,9 @@ def cmd_eval(args) -> int:
     tags = _tags(args)
     train_config = _train_config(args)
     if args.regime == "in-domain":
-        report = evaluation.run_in_domain(
-            threads, args.features, tags, train_config,
-            k=args.k, seed=train_config.seed, fold_mode=args.fold_metrics, unigram_mode=args.unigrams,
-        )
+        report = evaluation.run_in_domain(threads, args.features, tags, train_config, k=args.k, seed=train_config.seed)
     else:
-        report = evaluation.run_loo_ccv(threads, args.features, tags, train_config, unigram_mode=args.unigrams)
+        report = evaluation.run_loo_ccv(threads, args.features, tags, train_config)
     renderers = {
         "table": (evaluation.render_table, "report.txt"),
         "csv": (evaluation.render_csv, "report.csv"),
@@ -235,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     discourse.add_argument("--tags", help="tag-import file, used verbatim instead of the lexicon; unread for edm15 features")
     vectors = argparse.ArgumentParser(add_help=False)
     vectors.add_argument("--features", choices=features.FEATURE_CONFIGS, default="eplusp")
-    vectors.add_argument("--unigrams", choices=("counts", "binary"), default="counts")
     vectors.add_argument("--jobs", type=int, default=1, help="accepted so featurize and eval share a config; no effect")
     defaults = TrainConfig()
     fit = argparse.ArgumentParser(add_help=False)
@@ -261,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", cmd_eval, "run an evaluation regime and write a report", corpus, discourse, vectors, fit)
     p.add_argument("--regime", choices=("in-domain", "ccv"), default="in-domain")
     p.add_argument("--k", type=int, default=5, help="in-domain folds per course")
-    p.add_argument("--fold-metrics", choices=("pooled", "mean"), default="pooled")
     p.add_argument("--emit", choices=("table", "csv", "records"), default="table")
     p = add("syngen", cmd_syngen, "generate a synthetic corpus from a spec file")
     p.add_argument("--spec", required=True, help="JSON generation spec")

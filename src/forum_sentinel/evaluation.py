@@ -3,9 +3,9 @@ cross-course validation, with the aggregation semantics used for reporting.
 
 Positive-class precision/recall/F1 are reported on a 0-100 scale. Aggregate
 rows combine per-course precision and recall first and derive F1 from those
-means (not the mean of per-course F1 values). In-domain course metrics pool
-confusion counts over folds by default, which is what permits exactly-zero
-rows for courses whose positives are too sparse to ever be predicted.
+means (not the mean of per-course F1 values). In-domain course metrics always
+pool confusion counts over folds, which is what permits exactly-zero rows for
+courses whose positives are too sparse to ever be predicted.
 """
 
 from __future__ import annotations
@@ -106,10 +106,12 @@ def stratified_kfold(threads: list[Thread], k: int = 5, seed: int = 0) -> list[l
 class CourseResult:
     course_id: str
     n_threads: int
-    counts: ConfusionCounts
-    metrics: Metrics
-    fold_counts: tuple[ConfusionCounts, ...] = ()
+    counts: ConfusionCounts  # pooled over the course's splits
     vocabulary_sizes: tuple[int, ...] = ()
+
+    @property
+    def metrics(self) -> Metrics:
+        return prf1(self.counts)
 
 
 @dataclass
@@ -147,14 +149,13 @@ def _fit_and_score(
     feature_config: str,
     tags: ConnectiveLexicon | TagImport | None,
     train_config: TrainConfig,
-    unigram_mode: str,
 ) -> tuple[ConfusionCounts, int, bool]:
     """Fit on one split and score its test side; the flag marks a training
     split of fewer than two classes, which is not fit: its test threads all
     get the training class, or not-intervened when the split is empty. The log
     line names the ``fold``: (course id, split number, split count)."""
     vocabulary = build_vocabulary(train_threads) if feature_config in LEXICAL_CONFIGS else None
-    kwargs = dict(vocabulary=vocabulary, tags=tags, unigram_mode=unigram_mode)
+    kwargs = dict(vocabulary=vocabulary, tags=tags)
     train_data = vectorize(train_threads, feature_config, **kwargs)
     classes = {label for _vec, label in train_data}
     degenerate = len(classes) < 2
@@ -169,28 +170,20 @@ def _fit_and_score(
     return _confusion_from_predictions(pairs), size, degenerate
 
 
-def _evaluate(
-    regime, plan, feature_config, tags, train_config, unigram_mode, fold_mode="pooled", extra_config=None,
-) -> EvalReport:
+def _evaluate(regime, plan, feature_config, tags, train_config, extra_config=None) -> EvalReport:
     """Score a plan of ``(course_id, n_threads, [(train, test), ...])`` entries
-    in course order. A course's counts pool over its splits;
-    ``fold_mode="mean"`` averages split metrics.
-    """
-    if fold_mode not in ("pooled", "mean"):
-        raise ValueError(f"unknown fold metric mode {fold_mode!r}")
+    in course order. A course's counts pool over its splits."""
     per_course = []
     for course_id, n_threads, splits in plan:
         scored = [
-            _fit_and_score((course_id, i, len(splits)), train, test, feature_config, tags, train_config, unigram_mode)
+            _fit_and_score((course_id, i, len(splits)), train, test, feature_config, tags, train_config)
             for i, (train, test) in enumerate(splits, 1)
         ]
         fold_counts, sizes, degenerate = zip(*scored)
         if any(degenerate):
             logger.warning("course %s: %d of %d training splits hold one class or none; their test threads "
                            "get that class, or not-intervened", course_id, sum(degenerate), len(scored))
-        pooled = sum(fold_counts, ConfusionCounts())
-        metrics = macro_average([prf1(c) for c in fold_counts]) if fold_mode == "mean" else prf1(pooled)
-        per_course.append(CourseResult(course_id, n_threads, pooled, metrics, fold_counts, sizes))
+        per_course.append(CourseResult(course_id, n_threads, sum(fold_counts, ConfusionCounts()), sizes))
     metrics = [c.metrics for c in per_course]
     config = {"features": feature_config, "regime": regime, **asdict(train_config), **(extra_config or {})}
     report = EvalReport(
@@ -210,8 +203,6 @@ def run_in_domain(
     k: int = 5,
     seed: int = 0,
     jobs: int = 1,  # accepted and ignored: evaluation runs serially
-    fold_mode: str = "pooled",
-    unigram_mode: str = "counts",
 ) -> EvalReport:
     """Stratified k-fold cross validation run separately within each course."""
     plan = []
@@ -223,9 +214,10 @@ def run_in_domain(
             if test_fold
         ]
         plan.append((cid, len(course_threads), splits))
+    # "fold_metrics" names the one aggregation; the seed split the folds
     return _evaluate(
-        "in-domain", plan, feature_config, tags, train_config, unigram_mode,
-        fold_mode=fold_mode, extra_config={"k": k, "fold_metrics": fold_mode, "seed": seed},  # seed split the folds
+        "in-domain", plan, feature_config, tags, train_config,
+        extra_config={"k": k, "fold_metrics": "pooled", "seed": seed},
     )
 
 
@@ -235,7 +227,6 @@ def run_loo_ccv(
     tags: ConnectiveLexicon | TagImport | None,
     train_config: TrainConfig,
     jobs: int = 1,  # accepted and ignored: evaluation runs serially
-    unigram_mode: str = "counts",
 ) -> EvalReport:
     """Leave-one-course-out: train on all other courses, test on the held-out one."""
     grouped = by_course(threads)
@@ -245,7 +236,7 @@ def run_loo_ccv(
         (cid, len(test), [([t for other, ts in grouped.items() if other != cid for t in ts], test)])
         for cid, test in grouped.items()
     ]
-    return _evaluate("ccv", plan, feature_config, tags, train_config, unigram_mode)
+    return _evaluate("ccv", plan, feature_config, tags, train_config)
 
 
 def render_records(report: EvalReport) -> str:
@@ -253,31 +244,11 @@ def render_records(report: EvalReport) -> str:
     verify_report(report)
     lines = [json.dumps({"row": "config", **report.config}, sort_keys=True)]
     for c in report.per_course:
-        lines.append(
-            json.dumps(
-                {
-                    "row": "course",
-                    "course_id": c.course_id,
-                    "n_threads": c.n_threads,
-                    "tp": c.counts.tp,
-                    "fp": c.counts.fp,
-                    "fn": c.counts.fn,
-                    "tn": c.counts.tn,
-                    "precision": c.metrics.precision,
-                    "recall": c.metrics.recall,
-                    "f1": c.metrics.f1,
-                    "vocabulary_sizes": list(c.vocabulary_sizes),
-                },
-                sort_keys=True,
-            )
-        )
+        row = {"row": "course", "course_id": c.course_id, "n_threads": c.n_threads,
+               "vocabulary_sizes": list(c.vocabulary_sizes), **asdict(c.counts), **asdict(c.metrics)}
+        lines.append(json.dumps(row, sort_keys=True))
     for row, m in (("macro", report.macro), ("weighted_macro", report.weighted_macro)):
-        lines.append(
-            json.dumps(
-                {"row": row, "precision": m.precision, "recall": m.recall, "f1": m.f1},
-                sort_keys=True,
-            )
-        )
+        lines.append(json.dumps({"row": row, **asdict(m)}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 

@@ -251,14 +251,12 @@ def vectorize(
     config: str,
     vocabulary: Vocabulary | None = None,
     tags: ConnectiveLexicon | TagImport | None = None,
-    unigram_mode: str = "counts",
 ) -> list[tuple[FeatureVector, int]]:
     """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened.
     A config with the discourse block tags each thread from ``tags``, a lexicon or an import table."""
     space = build_space(config, vocabulary)
     needs_lexical = config in LEXICAL_CONFIGS
     needs_discourse = config in DISCOURSE_CONFIGS
-    binary = unigram_mode == "binary"
     unigram_names = {}
     if needs_lexical:  # rows share the space's name strings, in vocabulary order
         unigram_names = dict(zip(sorted(vocabulary.index), space.names[len(STRUCTURAL_NAMES) :]))
@@ -270,9 +268,7 @@ def vectorize(
         values: dict[str, float] = {}
         if needs_lexical:
             unigrams, structure = _lexical_profile(thread)
-            values = {
-                unigram_names[t]: 1.0 if binary else float(c) for t, c in unigrams.items() if t in unigram_names
-            }
+            values = {unigram_names[t]: float(c) for t, c in unigrams.items() if t in unigram_names}
             values.update(structure)
         if needs_discourse:
             tokenized = prepare_thread(thread)

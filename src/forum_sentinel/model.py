@@ -159,7 +159,7 @@ def _optimize_newton(fun, hessp, theta0, max_iterations, tol):
     # scipy's gtol bounds the gradient 2-norm, which bounds the inf-norm train checks
     options = {"maxiter": max_iterations, "gtol": tol}
     result = scipy.optimize.minimize(fun, theta0, jac=True, hessp=hessp, method="trust-ncg", options=options)
-    return result.x, int(result.nit)
+    return result.x, int(result.nit), str(result.message)
 
 
 def _optimize_lbfgs(fun, _hessp, theta0, max_iterations, tol):
@@ -175,11 +175,12 @@ def _optimize_lbfgs(fun, _hessp, theta0, max_iterations, tol):
             "maxfun": max(10 * max_iterations, 15000),
         },
     )
-    return result.x, int(result.nit)
+    return result.x, int(result.nit), str(result.message)
 
 
 def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
-    """Plain gradient descent with Armijo backtracking; the cross-check optimizer."""
+    """Plain gradient descent with Armijo backtracking; the cross-check optimizer.
+    Like scipy's, it returns the point, its iteration count and why it stopped."""
     theta = theta0.copy()
     loss, grad = fun(theta)
     step = 1.0
@@ -194,11 +195,11 @@ def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
                 break
             step *= 0.5
             if step < 1e-18:
-                return theta, it
+                return theta, it, "line search step fell below 1e-18"
         theta, loss, grad = candidate, new_loss, new_grad
         step = min(step * 2.0, 1e6)
         it += 1
-    return theta, it
+    return theta, it, "gradient inf-norm within tol" if it < max_iterations else "max_iterations reached"
 
 
 _OPTIMIZERS = {"newton": _optimize_newton, "lbfgs": _optimize_lbfgs, "gd": _optimize_gd}
@@ -218,11 +219,11 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
     cw, sample_weight = _sample_weight(y, config)
     fun, hessp = _objective(X, y, sample_weight, config.l2_lambda)
     theta0 = np.zeros(X.shape[1] + 1)
-    theta, n_iter = _OPTIMIZERS[method](fun, hessp, theta0, config.max_iterations, config.convergence_tol)
+    theta, n_iter, reason = _OPTIMIZERS[method](fun, hessp, theta0, config.max_iterations, config.convergence_tol)
     _loss, final_grad = fun(theta)
     grad_inf = float(np.max(np.abs(final_grad))) if final_grad.size else 0.0
     converged = grad_inf <= config.convergence_tol
-    status, cmp = ("converged", "<=") if converged else ("stopped unconverged", ">")
+    status, cmp = ("converged", "<=") if converged else (f"stopped unconverged ({reason})", ">")
     logger.info(
         "%s fit %s after %d of max_iterations=%d (grad inf-norm %.3g %s tol %.3g), %d dims",
         method, status, n_iter, config.max_iterations, grad_inf, cmp, config.convergence_tol, X.shape[1],

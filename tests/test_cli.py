@@ -306,6 +306,23 @@ class TestConfigAndErrors:
         assert main(["train", "--features-file", str(path), "--out", str(tmp_path)]) == 2
         assert "feature dump" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ("C1\tt1\tintervened\tn_posts:1.0\tn_posts:2.0\nC1\tt2\tnot_intervened\n",
+             "feature dump line 2: duplicate feature 'n_posts' in the row"),
+            ("C1\tt1\tintervened\tn_posts:1.0\nC1\tt2\tnot_intervened\nC1\tt1\tnot_intervened\n",
+             "feature dump line 4: duplicate row for thread_id 't1' in course 'C1'"),
+        ],
+        ids=["feature-twice-in-a-row", "thread-twice"],
+    )
+    def test_feature_dump_with_a_repeat_exits_2(self, rows, error, tmp_path, capsys):
+        path = tmp_path / "features.tsv"
+        path.write_text("#space\tedm15\tn_posts\n" + rows, "utf-8")
+        assert main(["train", "--features-file", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "model.txt").exists()
+
     def test_overflowing_feature_dump_exits_2_without_a_numpy_warning(self, tmp_path):
         path = tmp_path / "features.tsv"
         path.write_text("#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e100\n"
@@ -588,13 +605,13 @@ def test_config_file_and_flags_give_the_same_report(features, syn_corpus, tmp_pa
     assert main(["tag", "--corpus", str(syn_corpus), "--out", str(tmp_path / "t")]) == 0
     nondefault = {  # every eval setting away from its default
         "corpus": str(syn_corpus), "lexicon": str(lexicon), "tags": str(tmp_path / "t" / "tags.tsv"),
-        "features": features, "unigrams": "binary", "jobs": 2, "regime": "in-domain", "k": 3,
-        "fold_metrics": "mean", "seed": 5, "l2": 0.01, "max_iter": 40, "tol": 1e-05,
+        "features": features, "jobs": 2, "regime": "in-domain", "k": 3,
+        "seed": 5, "l2": 0.01, "max_iter": 40, "tol": 1e-05,
         "class_weights": "none", "emit": "csv",
     }
     conflicting = dict(
-        corpus="missing.jsonl", lexicon="missing.tsv", tags="missing.tsv", features="eplusp", unigrams="counts",
-        jobs=1, regime="ccv", k=4, fold_metrics="pooled", seed=9, l2=0.5, max_iter=7, tol=0.1,
+        corpus="missing.jsonl", lexicon="missing.tsv", tags="missing.tsv", features="eplusp",
+        jobs=1, regime="ccv", k=4, seed=9, l2=0.5, max_iter=7, tol=0.1,
         class_weights="neg_over_pos", emit="records", out=str(tmp_path / "elsewhere"),
     )
 
@@ -610,3 +627,31 @@ def test_config_file_and_flags_give_the_same_report(features, syn_corpus, tmp_pa
     assert main(["eval", *config("conflicting.json", conflicting), *flags(tmp_path / "both")]) == 0  # flags win
     reports = [(tmp_path / name / "report.csv").read_bytes() for name in ("flags", "config", "both")]
     assert reports[0] == reports[1] == reports[2]
+
+
+# one value away from its default for every eval flag that sets how the run is done
+_EVAL_SETTINGS = {
+    "--features": "pdtb", "--jobs": "2", "--l2": "0.01", "--max-iter": "40", "--tol": "1e-05",
+    "--class-weights": "none", "--seed": "5", "--regime": "ccv", "--k": "3",
+}
+# the files a run reads and writes, and the form of its report, are not settings of the run
+_EVAL_IO_FLAGS = {"--config", "--out", "--corpus", "--lexicon", "--tags", "--emit"}
+
+
+def test_every_eval_setting_is_recorded_in_the_report(syn_corpus, tmp_path):
+    eval_parser = next(a for a in build_parser()._actions if a.choices).choices["eval"]
+    flags = {option for a in eval_parser._actions if not a.required for option in a.option_strings}
+    assert set(_EVAL_SETTINGS) == flags - {"-h", "--help"} - _EVAL_IO_FLAGS
+
+    def report(name, *setting):
+        out = tmp_path / name
+        assert main(["eval", "--corpus", str(syn_corpus), "--emit", "records", "--out", str(out), *setting]) == 0
+        return (out / "report.jsonl").read_bytes()
+
+    base = report("default")
+    for flag, value in _EVAL_SETTINGS.items():
+        changed = report(flag.strip("-"), flag, value)
+        if flag == "--jobs":  # no effect: the report stays byte-identical
+            assert changed == base
+        else:
+            assert changed.splitlines()[0] != base.splitlines()[0], f"the config row does not record {flag} {value}"

@@ -223,20 +223,6 @@ class TestProtocols:
         with pytest.raises(AssertionError):
             render_records(report)
 
-    def test_fold_metric_modes_differ_only_in_aggregation(self):
-        threads = _syn_threads(n_courses=1)
-        pooled = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0)
-        mean = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0, fold_mode="mean")
-        assert pooled.per_course[0].fold_counts == mean.per_course[0].fold_counts
-
-    def test_unknown_fold_mode_rejected_before_any_fit(self, monkeypatch):
-        def no_fit(*_args, **_kwargs):
-            raise AssertionError("a fold was fit before fold_mode was checked")
-
-        monkeypatch.setattr(evaluation, "train_model", no_fit)
-        with pytest.raises(ValueError, match="median"):
-            run_in_domain(_syn_threads(), "pdtb", load_lexicon(), TrainConfig(), fold_mode="median")
-
     def test_each_split_logs_one_line_naming_its_fold(self, caplog):
         threads = _syn_threads()
         with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
@@ -252,7 +238,7 @@ class TestProtocols:
         negatives = [t for t in _syn_threads(n_courses=1) if t.label is not Label.INTERVENED]
         with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
             evaluation._fit_and_score(
-                ("SYN-0", 2, 5), negatives[:10], negatives[10:12], "pdtb", load_lexicon(), TrainConfig(), "counts"
+                ("SYN-0", 2, 5), negatives[:10], negatives[10:12], "pdtb", load_lexicon(), TrainConfig()
             )
         assert caplog.records[-1].getMessage() == (
             "course SYN-0 split 2 of 5: 10 train / 2 test threads, vocabulary 0, degenerate"

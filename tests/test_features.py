@@ -248,14 +248,6 @@ class TestVectorize:
         with pytest.raises(ValueError, match="unlabeled"):
             vectorize([raw], "pdtb", tags=load_lexicon())
 
-    def test_binary_unigram_mode(self):
-        thread = make_thread(["student"], texts=["alpha alpha alpha"])
-        vocab = build_vocabulary([thread])
-        counts = vectorize([thread], "edm15", vocabulary=vocab)[0][0]
-        binary = vectorize([thread], "edm15", vocabulary=vocab, unigram_mode="binary")[0][0]
-        assert counts.get("uni.alpha") == 3.0
-        assert binary.get("uni.alpha") == 1.0
-
 
 def test_feature_vector_validation():
     space = build_space("pdtb")
@@ -283,8 +275,8 @@ def _rows(data):
     return [(list(vec.values.items()), label) for vec, label in data]
 
 
-@pytest.mark.parametrize("config, unigram_mode", [("edm15", "counts"), ("edm15", "binary"), ("eplusp", "counts")])
-def test_rows_do_not_depend_on_earlier_vocabularies(config, unigram_mode):
+@pytest.mark.parametrize("config", ["edm15", "eplusp"], ids=["edm15-counts", "eplusp-counts"])  # unigram counts
+def test_rows_do_not_depend_on_earlier_vocabularies(config):
     # the per-thread lexical profile is cached across folds; a fold must see only its own vocabulary
     spec = GenSpec(n_courses=2, threads_per_course=30, intervention_ratio=0.3, vocabulary_disjointness=0.8,
                    discourse_signal_strength=0.6, seed=5)
@@ -292,7 +284,7 @@ def test_rows_do_not_depend_on_earlier_vocabularies(config, unigram_mode):
     half = len(threads) // 2
     vocab_a, vocab_b = build_vocabulary(threads[:half]), build_vocabulary(threads[half:])
     assert vocab_a.index != vocab_b.index
-    kwargs = dict(tags=load_lexicon(), unigram_mode=unigram_mode)
+    kwargs = dict(tags=load_lexicon())
     first_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
     under_b = _rows(vectorize(threads, config, vocabulary=vocab_b, **kwargs))
     again_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))

@@ -392,6 +392,22 @@ class TestTrain:
         assert f"after {model.n_iterations} of max_iterations=100000" in message
         assert "grad inf-norm" in message and "> tol 1e-300" in message
 
+    @pytest.mark.parametrize(
+        "method, reason",
+        [
+            ("newton", "Maximum number of iterations has been exceeded."),
+            ("lbfgs", "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+            ("gd", "max_iterations reached"),
+        ],
+    )
+    def test_unconverged_fit_logs_why_the_optimizer_stopped(self, method, reason, caplog):
+        data = random_dataset(random.Random(0), 60, 3)
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.model"):
+            model = train(data, TrainConfig(max_iterations=1), method=method)
+        assert not model.converged
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(f"{method} fit stopped unconverged ({reason}) after 1 of max_iterations=1 ")
+
     def test_converged_fit_logs_one_line(self, caplog):
         data = random_dataset(random.Random(0), 60, 3)
         with caplog.at_level(logging.INFO, logger="forum_sentinel.model"):

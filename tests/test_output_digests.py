@@ -26,14 +26,12 @@ DIGESTS = {
     "featurize-edm15": "931ced8ead316715e2c2c0516e880134ef332c8f9888bab754d5d34d35a4be90",
     "featurize-pdtb": "44e43c8e99bdb640a668b629a47b5b91c354d1a9039cf574fae17c3665cfbcd5",
     "featurize-eplusp": "28e316fa400c37474f8f72a5c0bb3d152ac3d785dd587f4c205ee47fae02d396",
-    "eval-edm15-ccv+binary": "7c88bd07fc28e96e48e0aa5b474699b9154f670a40127cefae3b5f3bc1a8c5b1",
     "eval-eplusp-in-domain+tags": "6588caa80332acfd2fb962d76854f5c5d28b381983dba1b79d936336ef6d3e24",
     "featurize-pdtb+tags": "44e43c8e99bdb640a668b629a47b5b91c354d1a9039cf574fae17c3665cfbcd5",
     "eval-pdtb-ccv+tags": "5ca76491a9d8de09fb62f16c8676b6e325954e4038c43d22d425087cf6d56ca9",
     "eval-eplusp-ccv+table": "bcf516604d72ffafb1d84e81ec051187a60ae515e6639de3c88e407f4cf3fbed",
     "eval-pdtb-in-domain+table": "898f65ce1d0f8cea59dd5bb2f80a8b83520c0eaa472b22cf448511c53cc06155",
     "eval-edm15-ccv+csv": "510a1680b2b77cdce425b8bc7a736546b59ed5ccd9c8f785f22f1487915fa90a",
-    "eval-eplusp-in-domain+mean": "cfc7cfe24a5eaf8f95e91cbdf4d3fcf730e4adcedf63ba6f5c2a92385ff6fbf3",
 }
 
 
@@ -49,22 +47,18 @@ def corpus(tmp_path_factory):
 
 
 def output_digest(name: str, corpus, out) -> str:
-    """Name: command-config[-regime][+binary|+tags|+table|+csv|+mean]; +tags
-    evaluates on the `tag` output of the same corpus, +table and +csv pin that
-    --emit instead of records, and +mean sets --fold-metrics mean."""
+    """Name: command-config[-regime][+tags|+table|+csv]; +tags evaluates on the
+    `tag` output of the same corpus, and +table and +csv pin that --emit
+    instead of records."""
     name, _, extra = name.partition("+")
     command, config, *regime = name.split("-", 2)
     argv = [command, "--corpus", str(corpus), "--features", config, "--out", str(out)]
     emit = extra if extra in ("table", "csv") else "records"
     if command == "eval":
         argv += ["--regime", regime[0], "--emit", emit]
-    if extra == "binary":
-        argv += ["--unigrams", "binary"]
     if extra == "tags":
         assert main(["tag", "--corpus", str(corpus), "--out", str(out / "tag")]) == 0
         argv += ["--tags", str(out / "tag" / "tags.tsv")]
-    if extra == "mean":
-        argv += ["--fold-metrics", "mean"]
     assert main(argv) == 0
     filenames = {"table": "report.txt", "csv": "report.csv", "records": "report.jsonl"}
     filename = filenames[emit] if command == "eval" else "features.tsv"
