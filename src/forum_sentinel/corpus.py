@@ -149,12 +149,19 @@ class LoadResult:
     resorted_threads: int = 0
 
 
+# RFC 3339's date-time. With a 6-digit fraction and Z as +00:00, datetime.fromisoformat reads it on every supported
+# Python and range-checks each field; [0-5] keeps an offset's minutes from carrying into its hours
+_RFC3339_RE = re.compile(r"(\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d)(?:\.(\d+))?([Zz]|[+-]\d\d:[0-5]\d)", re.ASCII)
+
+
 def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp, which must carry ``Z`` or a numeric offset."""
-    # py3.10 fromisoformat rejects the 'Z' suffix
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {value!r} has no Z or numeric offset")
+    """Parse an RFC 3339 timestamp into UTC; fractional digits past the microsecond are dropped."""
+    if (m := _RFC3339_RE.fullmatch(value)) is None:
+        raise ValueError(f"timestamp {value!r} is not RFC 3339 with Z or a numeric offset")
+    date_time, fraction, offset = m.groups()
+    if fraction:
+        date_time += "." + fraction[:6].ljust(6, "0")
+    ts = datetime.fromisoformat(date_time + ("+00:00" if offset in "Zz" else offset))
     try:
         return ts.astimezone(timezone.utc)
     except OverflowError:  # the offset pushes the time out of range

@@ -81,8 +81,9 @@ def stratified_kfold(threads: list[Thread], k: int = 5, seed: int = 0) -> list[l
     """Split threads into k folds with per-class counts differing by at most 1.
 
     The split is a function of the thread identities and the seed only, so
-    permuting the input order cannot change the folds. A k above the thread
-    count returns as many folds as threads, since the rest would be empty.
+    permuting the input order cannot change the folds. There are min(k, len(threads)) folds,
+    and as each class is dealt from fold 0, some can be empty: 4 threads, t0 and t1 positive,
+    give [[t0, t2], [t1, t3], [], []] at k = 5. ``run_in_domain`` skips empty test folds.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

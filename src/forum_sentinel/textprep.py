@@ -1,19 +1,23 @@
 """Tokenization, sentence splitting and non-lexical token replacement.
 
-Equations, URLs and clock-style timestamps are rewritten to the opaque
-placeholder tokens EQU / URL / TIMEREF before tokenization, so later stages
-never see unparsable math or links. A placeholder that would touch a letter,
-digit or apostrophe gets a space on that side, so "10:30am" becomes
-"TIMEREF am", not the word "timerefam", and "10:30's" becomes "TIMEREF 's".
-The patterns below are frozen; the fixture file data/nonlexical_patterns.tsv
-pins their behavior.
+A post is prepared in a few regex passes. ``replace_nonlexical`` rewrites
+URLs, $-delimited equations, clock times and heuristic equation runs to the
+opaque placeholders URL / EQU / TIMEREF, skipping a pass when the text lacks
+a literal its matches need ("://" or "www.", "$", ":", two operators). A
+placeholder that would touch a letter, digit or apostrophe gets a space on
+that side, so "10:30am" becomes "TIMEREF am", not "timerefam". One pass then
+finds the runs of . ! ? that whitespace and a capital follow, the only
+places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
+between them: runs of ASCII letters and digits joined by inner apostrophes,
+or single other non-space characters, lowercased except the placeholders.
+The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -26,11 +30,14 @@ _TIME_RE = re.compile(r"(?<![\d:])\d{1,2}:\d{2}(?::\d{2})?(?![\d:])")
 # picks out runs with the operators, trying run starts only so each run is scanned once; _is_equation_run does the rest
 _EQU_RUN_RE = re.compile(r"(?<!\S)(?=[^\s=+^/\\]*[=+^/\\][^\s=+^/\\]*[=+^/\\])\S+")
 _EQU_MIN_OPS = 2  # a text with fewer operator chars in all holds no such run, so the pass is skipped
+# a lowercased text holding none of a pass's literals has no match (the URL pattern ignores case)
+_PASS_LITERALS = {_URL_RE: ("://", "www."), _DOLLAR_EQU_RE: ("$",), _TIME_RE: (":",)}
 # characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
-_TERMINATORS = {".", "!", "?"}
+# a maximal run of terminator tokens and, when whitespace follows it, the first character of the next token
+_TERMINATOR_RUN_RE = re.compile(r"[.!?](?:\s*[.!?])*(?:\s+(\S))?")
 
 
 @dataclass
@@ -70,7 +77,8 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
             after = " " if s[m.end() : m.end() + 1] in _WORD_CHARS else ""
             return before + token + after
 
-        return pattern.sub(repl, s)
+        lowered = s.lower()
+        return pattern.sub(repl, s) if any(literal in lowered for literal in _PASS_LITERALS[pattern]) else s
 
     text = sub(_URL_RE, "URL", text)
     text = sub(_DOLLAR_EQU_RE, "EQU", text)
@@ -87,6 +95,26 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     return text, counts
 
 
+def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+    """The tokens of text and its sentence bounds (see tokenize), read up to each candidate bound and the end;
+    every non-space character is in one token, so the tokens read so far give the bound's token index."""
+    tokens: list[str] = []
+    sentences: list[tuple[int, int]] = []
+    start = pos = words = 0
+    for end in [m.start(1) for m in _TERMINATOR_RUN_RE.finditer(text) if (m.group(1) or "").isupper()] + [len(text)]:
+        segment = [t if t in PLACEHOLDERS else t.lower() for t in _TOKEN_RE.findall(text, pos, end)]
+        pos = end
+        for tok in segment:  # words since the sentence start, counted up to two
+            words += tok[0].isalnum()
+            if words == 2:
+                break
+        tokens += segment
+        if words == 2 or (end == len(text) and start < len(tokens)):
+            sentences.append((start, len(tokens)))
+            start, words = len(tokens), 0
+    return tuple(tokens), tuple(sentences)
+
+
 def tokenize(text: str) -> TokenizedPost:
     """Split text into lowercase word/punctuation tokens and sentences.
 
@@ -95,51 +123,14 @@ def tokenize(text: str) -> TokenizedPost:
     only closes a sentence that already holds at least two word tokens, so
     short interjections ("Hi!!") fold into the sentence that follows them.
     """
-    matches = list(_TOKEN_RE.finditer(text))
-    tokens: list[str] = []
-    for m in matches:
-        raw = m.group()
-        tokens.append(raw if raw in PLACEHOLDERS else raw.lower())
-    if not tokens:
-        return TokenizedPost(tokens=(), sentences=(), replaced_counts=dict.fromkeys(PLACEHOLDERS, 0))
-
-    sentences: list[tuple[int, int]] = []
-    sent_start = 0
-    word_count = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i][0].isalnum():
-            word_count += 1
-            i += 1
-            continue
-        if tokens[i] in _TERMINATORS:
-            j = i
-            while j + 1 < n and tokens[j + 1] in _TERMINATORS:
-                j += 1
-            boundary = False
-            if j + 1 < n and word_count >= 2:
-                gap = matches[j].end() < matches[j + 1].start()
-                nxt = text[matches[j + 1].start()]
-                boundary = gap and nxt.isupper()
-            if boundary:
-                sentences.append((sent_start, j + 1))
-                sent_start = j + 1
-                word_count = 0
-            i = j + 1
-            continue
-        i += 1
-    if sent_start < n:
-        sentences.append((sent_start, n))
-
-    replaced = {ph: tokens.count(ph) for ph in PLACEHOLDERS}
-    return TokenizedPost(tokens=tuple(tokens), sentences=tuple(sentences), replaced_counts=replaced)
+    tokens, sentences = _split(text)
+    return TokenizedPost(tokens, sentences, {ph: tokens.count(ph) for ph in PLACEHOLDERS})
 
 
 def prepare_text(text: str) -> TokenizedPost:
     """replace_nonlexical then tokenize; counts are replacements, not words like "URL"."""
     replaced, counts = replace_nonlexical(text)
-    return replace(tokenize(replaced), replaced_counts=counts)
+    return TokenizedPost(*_split(replaced), counts)
 
 
 @lru_cache(maxsize=1)

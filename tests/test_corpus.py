@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime
 
 import pytest
 
+from forum_sentinel.cli import main
 from forum_sentinel.corpus import (
     CorpusFormatError,
     Label,
@@ -75,6 +77,38 @@ class TestLoadCorpus:
         path = corpus_file([record(), record(tid="t2", posts=posts)])
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            "2020-W01-1T10:00:00Z", "20200101T100000Z", "2020-01-01T10:00Z", "2020-01-01T10:00:00+0100",
+            "2020-01-01T10:00:00,5Z", "2020-01-01T10:00:00.Z", "2020-01-01T10:00:00+01:75", "2020-01-01T10:00:00Z\n",
+            "\uff12020-01-01T10:00:00Z",
+        ],
+        ids=[
+            "iso-week-date", "basic-format", "no-seconds", "offset-without-colon", "comma-fraction",
+            "empty-fraction", "offset-minutes-past-59", "trailing-newline", "non-ascii-digit",
+        ],
+    )
+    def test_timestamp_must_be_rfc3339(self, corpus_file, ts):
+        path = corpus_file([record(), record(tid="t2", posts=[post_obj(0, ts=ts)])])
+        with pytest.raises(CorpusFormatError, match="line 2: timestamp .* is not RFC 3339"):
+            load_corpus(path)
+        assert main(["ingest", "--corpus", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "ts, utc",
+        [
+            ("2020-01-01t10:00:00z", "2020-01-01T10:00:00"),
+            ("2020-01-01 10:00:00Z", "2020-01-01T10:00:00"),
+            ("2020-01-01T10:00:00.5-00:00", "2020-01-01T10:00:00.500000"),
+            ("2020-01-01T10:00:00.1234567+01:30", "2020-01-01T08:30:00.123456"),
+        ],
+        ids=["lowercase-t-and-z", "space-separator", "fraction-and-zero-offset", "fraction-past-microseconds"],
+    )
+    def test_rfc3339_timestamp_loads_as_utc(self, corpus_file, ts, utc):
+        (thread,) = load_corpus(corpus_file([record(posts=[post_obj(0, ts=ts)])])).threads
+        assert thread.posts[0].timestamp == datetime.fromisoformat(utc + "+00:00")
 
     @pytest.mark.parametrize("value", [None, 7, "x\ty", "x\ry", "x\ny", "x\ud800"],
                              ids=["null", "number", "tab", "cr", "lf", "lone-surrogate"])

@@ -154,6 +154,16 @@ class TestStratifiedKfold:
         assert len(folds) == 5
         assert sorted(t.thread_id for f in folds for t in f) == sorted(t.thread_id for t in threads)
 
+    def test_k_above_thread_count_can_leave_folds_empty(self, caplog):
+        threads = self._course(2, 2)
+        folds = stratified_kfold(threads, k=5, seed=0)
+        assert [[t.label is Label.INTERVENED for t in f] for f in folds] == [[True, False], [True, False], [], []]
+        with caplog.at_level(logging.INFO, logger="forum_sentinel.evaluation"):
+            report = run_in_domain(threads, "pdtb", load_lexicon(), TrainConfig(), k=5, seed=0)
+        splits = [r.getMessage() for r in caplog.records if " split " in r.getMessage()]
+        assert len(splits) == 2 and all("of 2: 2 train / 2 test threads" in m for m in splits)
+        assert sum(vars(report.per_course[0].counts).values()) == 4
+
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             stratified_kfold(self._course(2, 2), k=1)

@@ -34,6 +34,9 @@ DIGESTS = {
     "eval-edm15-ccv+csv": "510a1680b2b77cdce425b8bc7a736546b59ed5ccd9c8f785f22f1487915fa90a",
 }
 
+# sha256 of `tag`'s tags.tsv on the same corpus; its start:end cells are token indices, so it pins the token stream
+TAGS_DIGEST = "af716fe7ab171b360485d8e8038acd39edd4161df9cf8f3f9bd82c58b69ec5f2"
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -68,3 +71,8 @@ def output_digest(name: str, corpus, out) -> str:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_output_is_byte_identical(name, corpus, tmp_path, capsys):
     assert output_digest(name, corpus, tmp_path) == DIGESTS[name]
+
+
+def test_tag_output_is_byte_identical(corpus, tmp_path, capsys):
+    assert main(["tag", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "tags.tsv").read_bytes()).hexdigest() == TAGS_DIGEST

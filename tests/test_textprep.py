@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from forum_sentinel import textprep
 from forum_sentinel.textprep import (
     PLACEHOLDERS,
+    TokenizedPost,
     content_filter,
     load_stopwords,
     prepare_text,
@@ -150,6 +152,79 @@ def test_equation_pattern_matches_the_per_run_callback(text):
         patch.setattr(textprep, "_EQU_MIN_OPS", 0)
         oracle = replace_nonlexical(text)
     assert replace_nonlexical(text) == oracle
+
+
+def _tokenize_per_token(text: str) -> TokenizedPost:
+    """The tokenizer as it walked every token to find sentence ends, before the terminator-run pass."""
+    matches = list(textprep._TOKEN_RE.finditer(text))
+    tokens: list[str] = []
+    for m in matches:
+        raw = m.group()
+        tokens.append(raw if raw in PLACEHOLDERS else raw.lower())
+    if not tokens:
+        return TokenizedPost(tokens=(), sentences=(), replaced_counts=dict.fromkeys(PLACEHOLDERS, 0))
+
+    terminators = {".", "!", "?"}
+    sentences: list[tuple[int, int]] = []
+    sent_start = 0
+    word_count = 0
+    i = 0
+    n = len(tokens)
+    while i < n:
+        if tokens[i][0].isalnum():
+            word_count += 1
+            i += 1
+            continue
+        if tokens[i] in terminators:
+            j = i
+            while j + 1 < n and tokens[j + 1] in terminators:
+                j += 1
+            boundary = False
+            if j + 1 < n and word_count >= 2:
+                gap = matches[j].end() < matches[j + 1].start()
+                nxt = text[matches[j + 1].start()]
+                boundary = gap and nxt.isupper()
+            if boundary:
+                sentences.append((sent_start, j + 1))
+                sent_start = j + 1
+                word_count = 0
+            i = j + 1
+            continue
+        i += 1
+    if sent_start < n:
+        sentences.append((sent_start, n))
+
+    replaced = {ph: tokens.count(ph) for ph in PLACEHOLDERS}
+    return TokenizedPost(tokens=tuple(tokens), sentences=tuple(sentences), replaced_counts=replaced)
+
+
+def _replace_nonlexical_unguarded(text: str) -> tuple[str, dict[str, int]]:
+    """replace_nonlexical with every pass run on every text: no literal guard, no operator count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textprep, "_PASS_LITERALS", dict.fromkeys(textprep._PASS_LITERALS, ("",)))
+        patch.setattr(textprep, "_EQU_MIN_OPS", 0)
+        return replace_nonlexical(text)
+
+
+# terminators and runs of them, cased and uncased letters ("\u0130".lower() is two code points, "\u24b6" is
+# upper but lowers to a non-alphanumeric), "\x1c" (whitespace to str.isspace and \s), and the literals the
+# replacement passes look for ("\u017f" matches "s" in the case-blind URL pattern)
+_TEXT_PIECES = [
+    ".", "!", "?", ". .", ".?", "a", "q", "B", "Z", "\u0130", "\u00e9", "\u00c9", "\u00b2", "\u24b6", "1", "2",
+    " ", "\n", "\x1c", "'", ":", "$", "=", "+", "http://", "WWW.", "\u017f", "://", *PLACEHOLDERS,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
+@example("Hi!! I have a question. \u0130s it ok? \u24b6. Yes . . And you")
+@example("see http\u017f://x.y at 22:22 or $x$. Then wWw.a.b!")
+@example("One two.\x1cThree four")
+def test_text_layer_matches_the_oracles(text):
+    assert _replace_nonlexical_unguarded(text) == replace_nonlexical(text)
+    assert tokenize(text) == _tokenize_per_token(text)
+    replaced, counts = _replace_nonlexical_unguarded(text)
+    assert prepare_text(text) == replace(_tokenize_per_token(replaced), replaced_counts=counts)
 
 
 class TestContentFilter:
