@@ -28,7 +28,7 @@ from .discourse import (
     sense_distribution,
     tag_thread,
 )
-from .features import FeatureSpace, FeatureVector, build_vocabulary, prepare_thread, vectorize
+from .features import FeatureSpace, FeatureVector, build_vocabulary, vectorize
 from .model import TrainConfig, save_model, train
 
 logger = logging.getLogger(__name__)
@@ -50,17 +50,20 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     keys = {
         a.dest for p in subparsers.choices.values() for a in p._actions if a.option_strings and not a.required
     } - {"help", "config"}
+    defaults = {}
     for key, value in obj.items():
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         action = next((a for a in args.parser._actions if a.dest == key), None)
-        try:  # a value must be what the flag itself would parse from its text
-            valid = action is None or (action.type or str)(str(value)) == value and value in (action.choices or [value])
+        try:  # a value must be what the flag itself would parse from its text, and becomes that parse
+            parsed = value if action is None else (action.type or str)(str(value))
+            valid = action is None or parsed == value and value in (action.choices or [value])
         except ValueError:
             valid = False
         if not valid:
             raise ValueError(f"config key {key!r} has an invalid value {value!r}")
-    return obj
+        defaults[key] = parsed
+    return defaults
 
 
 def _load_filtered(corpus_path: str):
@@ -105,10 +108,11 @@ def cmd_tag(args) -> int:
     threads = _load_filtered(args.corpus)
     tags = _tags(args)
     lines = []
-    taggings = []
+    taggings = []  # every post's, in corpus order
     for thread in threads:
-        taggings.append(tag_thread(thread, list(prepare_thread(thread)), tags))
-        lines.extend(format_tag_records(thread, taggings[-1]))
+        thread_taggings = tag_thread(thread, tags)
+        taggings += thread_taggings
+        lines += format_tag_records(thread, thread_taggings)
     out = _out_dir(args) / "tags.tsv"
     out.write_bytes(("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
     dist = sense_distribution(taggings)

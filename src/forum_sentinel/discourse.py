@@ -9,19 +9,22 @@ swapped in through the tag-import file format: ``tag_thread`` takes either
 source as its one ``tags`` argument, so the feature pipeline above it is
 tagger-agnostic.
 
-A lexicon remembers each post it tagged, by tokens and sentence bounds (the
-cues read both), so evaluation folds that score a post again reuse its tags.
+``tag_thread`` reads a thread's tokens from ``textprep.prepare_thread``. A
+lexicon remembers each thread it tagged, so evaluation folds that score a
+thread again reuse its tags. A thread hashes by its ids but compares every
+field, so a truncated copy of a thread is tagged on its own.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
 from .corpus import InputError, Thread, parse_lines
-from .textprep import TokenizedPost
+from .textprep import TokenizedPost, prepare_thread
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
@@ -95,7 +98,7 @@ class ConnectiveLexicon:
             self._by_first.setdefault(entry.tokens[0], []).append(entry)
         for group in self._by_first.values():
             group.sort(key=lambda e: -len(e.tokens))
-        self._tagged: dict[tuple, PostDiscourse] = {}  # (tokens, sentences) -> tag_post's result
+        self._tagged: dict[Thread, tuple[PostDiscourse, ...]] = {}  # thread -> its posts' tags
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -150,13 +153,7 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
     its discourse prior is >= ``DEFAULT_TAU``, or it opens a sentence, or it
     touches a comma. The sense is the argmax of the entry's sense weights.
     """
-    key = (tok.tokens, tok.sentences)
-    if (found := lexicon._tagged.get(key)) is None:
-        found = lexicon._tagged[key] = _match_connectives(*key, lexicon)
-    return found
-
-
-def _match_connectives(tokens, sentences, lexicon: ConnectiveLexicon) -> PostDiscourse:
+    tokens = tok.tokens
     n = len(tokens)
     by_first = lexicon._by_first
     matches: list[tuple[int, int, LexiconEntry]] = []
@@ -177,7 +174,7 @@ def _match_connectives(tokens, sentences, lexicon: ConnectiveLexicon) -> PostDis
             used[k] = True
         resolved.append((start, end, entry))
 
-    sentence_starts = {s for s, _e in sentences}
+    sentence_starts = {s for s, _e in tok.sentences}
     tagged: list[TaggedConnective] = []
     for start, end, entry in resolved:
         cue = (
@@ -195,22 +192,21 @@ def _match_connectives(tokens, sentences, lexicon: ConnectiveLexicon) -> PostDis
 TagImport = dict[tuple[str, str, str], tuple[tuple[int, int, SenseTag], ...]]
 
 
-def tag_thread(
-    thread: Thread,
-    tokenized_posts: list[TokenizedPost],
-    tags: ConnectiveLexicon | TagImport | None,
-) -> list[PostDiscourse]:
+def tag_thread(thread: Thread, tags: ConnectiveLexicon | TagImport | None) -> list[PostDiscourse]:
     """Tag every post of a thread independently (never across posts).
 
-    ``tags`` is the tag source: a lexicon runs the matcher, and an import
-    table's (span, sense) triples are returned verbatim for each post.
+    ``tags`` is the tag source: a lexicon runs the matcher once per thread it
+    has not tagged before, and an import table's (span, sense) triples are
+    returned verbatim for each post.
     """
     if isinstance(tags, ConnectiveLexicon):
-        return [tag_post(tok, tags) for tok in tokenized_posts]
+        if (found := tags._tagged.get(thread)) is None:
+            found = tags._tagged[thread] = tuple(tag_post(tok, tags) for tok in prepare_thread(thread))
+        return list(found)
     if tags is None:
         raise ValueError("tagging needs a connective lexicon or imported tags")
     out: list[PostDiscourse] = []
-    for post, tok in zip(thread.posts, tokenized_posts):
+    for post, tok in zip(thread.posts, prepare_thread(thread)):
         triples = tags.get((thread.course_id, thread.thread_id, post.post_id), ())
         found = []
         prev_end = -1
@@ -259,20 +255,13 @@ def format_tag_records(thread: Thread, taggings: list[PostDiscourse]) -> list[st
     return lines
 
 
-def sense_distribution(taggings) -> dict[SenseTag, float] | None:
-    """Percentage of tagged connectives per sense; None when nothing is tagged.
-
-    Accepts any nesting of PostDiscourse (per post, per thread, per corpus).
-    """
+def sense_distribution(taggings: Iterable[PostDiscourse]) -> dict[SenseTag, float] | None:
+    """Percentage of tagged connectives per sense over posts' taggings (one
+    thread's or a whole corpus's); None when nothing is tagged."""
     counts = dict.fromkeys(SENSES, 0)
-    stack = list(taggings)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, PostDiscourse):
-            for tag in item.tags:
-                counts[tag.sense] += 1
-        else:
-            stack.extend(item)
+    for disc in taggings:
+        for tag in disc.tags:
+            counts[tag.sense] += 1
     total = sum(counts.values())
     if total == 0:
         return None

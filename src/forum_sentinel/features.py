@@ -8,11 +8,12 @@ names to finite values.
 
 Cross-course evaluation vectorizes every thread once per fold, but a thread's
 lexical block depends on the fold only through the vocabulary. Beside the
-cached ``prepare_thread`` tokens, ``_lexical_profile`` therefore caches each
-thread's content-filtered unigram counts and its structural values once;
-``build_vocabulary`` reads its keys and each fold only filters the counts by
-its vocabulary. The cached values are shared and never mutated. Tagging is
-memoized per lexicon (see ``discourse``), so each post is matched only once.
+cached ``textprep.prepare_thread`` tokens, ``_lexical_profile`` therefore
+caches each thread's content-filtered unigram counts and its structural
+values once; ``build_vocabulary`` reads its keys and each fold only filters
+the counts by its vocabulary. The cached values are shared and never mutated.
+A lexicon remembers each thread it tagged (see ``discourse``), so each
+thread is matched only once.
 
 The 25 discourse feature names, in frozen order: ``pdtb.total``; then for
 each sense (temporal, contingency, comparison, expansion) the pair
@@ -31,7 +32,7 @@ from importlib import resources
 
 from .corpus import CONTENT_SUBFORUMS, Label, Thread
 from .discourse import SENSES, ConnectiveLexicon, PostDiscourse, TagImport, tag_thread
-from .textprep import TokenizedPost, content_filter, prepare_text
+from .textprep import TokenizedPost, content_filter, prepare_text, prepare_thread
 
 FEATURE_CONFIGS = ("edm15", "pdtb", "eplusp")
 # the configs with the lexical block and those with the discourse block
@@ -127,12 +128,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.index)
-
-
-@lru_cache(maxsize=None)
-def prepare_thread(thread: Thread) -> tuple[TokenizedPost, ...]:
-    """Replace non-lexical spans and tokenize every post (cached per thread)."""
-    return tuple(prepare_text(post.text) for post in thread.posts)
 
 
 @lru_cache(maxsize=1)
@@ -270,10 +265,9 @@ def vectorize(
             unigrams, structure = _lexical_profile(thread)
             values = {unigram_names[t]: float(c) for t, c in unigrams.items() if t in unigram_names}
             values.update(structure)
-        if needs_discourse:
-            tokenized = prepare_thread(thread)
-            taggings = tag_thread(thread, list(tokenized), tags)
-            values.update(_pdtb_values(taggings, sum(tok.n_tokens for tok in tokenized)))
+        if needs_discourse:  # prepared before tagging, so a cold preparation counts as text prep
+            n_tokens = sum(tok.n_tokens for tok in prepare_thread(thread))
+            values.update(_pdtb_values(tag_thread(thread, tags), n_tokens))
         label = 1 if thread.label is Label.INTERVENED else 0
         out.append((FeatureVector(values=values, space=space), label))
     return out

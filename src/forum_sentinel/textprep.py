@@ -11,6 +11,8 @@ places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
 between them: runs of ASCII letters and digits joined by inner apostrophes,
 or single other non-space characters, lowercased except the placeholders.
 The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
+``prepare_thread`` prepares each post of a thread and caches the result per
+thread, for the lexical features and the tagger alike.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+
+from .corpus import Thread
 
 PLACEHOLDERS = ("EQU", "URL", "TIMEREF")
 
@@ -32,6 +36,8 @@ _EQU_RUN_RE = re.compile(r"(?<!\S)(?=[^\s=+^/\\]*[=+^/\\][^\s=+^/\\]*[=+^/\\])\S
 _EQU_MIN_OPS = 2  # a text with fewer operator chars in all holds no such run, so the pass is skipped
 # a lowercased text holding none of a pass's literals has no match (the URL pattern ignores case)
 _PASS_LITERALS = {_URL_RE: ("://", "www."), _DOLLAR_EQU_RE: ("$",), _TIME_RE: (":",)}
+# the passes in their frozen order, with the placeholder each writes
+_PASS_PLACEHOLDERS = {_URL_RE: "URL", _DOLLAR_EQU_RE: "EQU", _TIME_RE: "TIMEREF"}
 # characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
@@ -61,6 +67,18 @@ def _is_equation_run(run: str) -> bool:
     return run not in PLACEHOLDERS and any(ch.isdigit() for ch in run)
 
 
+def _placeholder(m: re.Match) -> str:
+    """The match's placeholder, spaced off a neighbouring letter, digit or apostrophe."""
+    s, start, end = m.string, m.start(), m.end()
+    before = " " if s[start - 1 : start] in _WORD_CHARS else ""
+    after = " " if s[end : end + 1] in _WORD_CHARS else ""
+    return before + _PASS_PLACEHOLDERS[m.re] + after
+
+
+def _equation(m: re.Match) -> str:
+    return "EQU" if _is_equation_run(m.group()) else m.group()
+
+
 def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     """Replace URLs, equations and timestamps with placeholder tokens.
 
@@ -69,29 +87,16 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     number of replacements per placeholder.
     """
     counts = {"EQU": 0, "URL": 0, "TIMEREF": 0}
-
-    def sub(pattern: re.Pattern, token: str, s: str) -> str:
-        def repl(m: re.Match) -> str:
-            counts[token] += 1
-            before = " " if s[m.start() - 1 : m.start()] in _WORD_CHARS else ""
-            after = " " if s[m.end() : m.end() + 1] in _WORD_CHARS else ""
-            return before + token + after
-
-        lowered = s.lower()
-        return pattern.sub(repl, s) if any(literal in lowered for literal in _PASS_LITERALS[pattern]) else s
-
-    text = sub(_URL_RE, "URL", text)
-    text = sub(_DOLLAR_EQU_RE, "EQU", text)
-    text = sub(_TIME_RE, "TIMEREF", text)
-
-    def equ_run(m: re.Match) -> str:
-        if _is_equation_run(m.group()):
-            counts["EQU"] += 1
-            return "EQU"
-        return m.group()
-
+    for pattern, token in _PASS_PLACEHOLDERS.items():
+        lowered = text.lower()
+        if any(literal in lowered for literal in _PASS_LITERALS[pattern]):
+            text, n = pattern.subn(_placeholder, text)
+            counts[token] += n
     if sum(map(text.count, "=+^/\\")) >= _EQU_MIN_OPS:
-        text = _EQU_RUN_RE.sub(equ_run, text)
+        n = sum(map(_is_equation_run, _EQU_RUN_RE.findall(text)))
+        if n:
+            text = _EQU_RUN_RE.sub(_equation, text)
+            counts["EQU"] += n
     return text, counts
 
 
@@ -131,6 +136,12 @@ def prepare_text(text: str) -> TokenizedPost:
     """replace_nonlexical then tokenize; counts are replacements, not words like "URL"."""
     replaced, counts = replace_nonlexical(text)
     return TokenizedPost(*_split(replaced), counts)
+
+
+@lru_cache(maxsize=None)
+def prepare_thread(thread: Thread) -> tuple[TokenizedPost, ...]:
+    """Replace non-lexical spans and tokenize every post (cached per thread)."""
+    return tuple(prepare_text(post.text) for post in thread.posts)
 
 
 @lru_cache(maxsize=1)

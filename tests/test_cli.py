@@ -580,6 +580,16 @@ def test_eval_fuzz_never_usage_or_internal_error(
         assert got == want
 
 
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    generate(GenSpec(n_courses=2, threads_per_course=20, intervention_ratio=0.3, vocabulary_disjointness=0.5,
+                     discourse_signal_strength=0.8, seed=2), tmp_path / "corpus.jsonl")
+    monkeypatch.chdir(tmp_path)  # the block reads corpus.jsonl and tags.tsv from the working directory
+    assert main(["tag", "--corpus", "corpus.jsonl"]) == 0
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
     table = readme[readme.index("| flag | default | subcommands |"):].split("\n\n")[0].splitlines()[2:]
@@ -615,8 +625,8 @@ def test_config_file_and_flags_give_the_same_report(features, syn_corpus, tmp_pa
         class_weights="neg_over_pos", emit="records", out=str(tmp_path / "elsewhere"),
     )
 
-    def flags(out):
-        return [f"--{key.replace('_', '-')}={value}" for key, value in {**nondefault, "out": out}.items()]
+    def flags(out, values=nondefault):
+        return [f"--{key.replace('_', '-')}={value}" for key, value in {**values, "out": out}.items()]
 
     def config(name, values):
         (tmp_path / name).write_text(json.dumps(values), "utf-8")
@@ -627,6 +637,13 @@ def test_config_file_and_flags_give_the_same_report(features, syn_corpus, tmp_pa
     assert main(["eval", *config("conflicting.json", conflicting), *flags(tmp_path / "both")]) == 0  # flags win
     reports = [(tmp_path / name / "report.csv").read_bytes() for name in ("flags", "config", "both")]
     assert reports[0] == reports[1] == reports[2]
+
+    # a float setting written as a JSON integer is the float the flag parses: the config row says 1.0, not 1
+    whole = {"corpus": str(syn_corpus), "features": features, "l2": 1, "tol": 1, "max_iter": 5, "emit": "records"}
+    assert main(["eval", *flags(tmp_path / "whole-flags", whole)]) == 0
+    assert main(["eval", *config("whole.json", {**whole, "out": str(tmp_path / "whole-config")})]) == 0
+    reports = [(tmp_path / name / "report.jsonl").read_bytes() for name in ("whole-flags", "whole-config")]
+    assert reports[0] == reports[1]
 
 
 # one value away from its default for every eval flag that sets how the run is done

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forum_sentinel import discourse
+from forum_sentinel import discourse, features
 from forum_sentinel.corpus import filter_and_label
 from forum_sentinel.discourse import (
     SENSES,
@@ -22,7 +22,6 @@ from forum_sentinel.discourse import (
     tag_thread,
 )
 from forum_sentinel.evaluation import run_loo_ccv
-from forum_sentinel.features import prepare_thread
 from forum_sentinel.model import TrainConfig
 from forum_sentinel.syngen import GenSpec, generate_threads
 from forum_sentinel.textprep import TokenizedPost, prepare_text
@@ -164,20 +163,8 @@ class TestTagPost:
 
 
 _WARM = load_lexicon()  # shared by every example below, so its memo fills up as they run
-_MEMO_TOKENS = sorted({t for e in _WARM.entries.values() for t in e.tokens} | {",", ".", "alpha", "beta"})
-
-
-@st.composite
-def _post_and_bounds(draw):
-    """A token stream and two ways to split it into sentences."""
-    tokens = tuple(draw(st.lists(st.sampled_from(_MEMO_TOKENS), max_size=30)))
-
-    def bounds():
-        cuts = draw(st.sets(st.integers(1, len(tokens) - 1))) if len(tokens) > 1 else ()
-        edges = [0, *sorted(cuts), len(tokens)] if tokens else []
-        return tuple(zip(edges, edges[1:]))
-
-    return tokens, bounds(), bounds()
+_MEMO_WORDS = sorted({t for e in _WARM.entries.values() for t in e.tokens} | {",", ".", "alpha", "beta"})
+_MEMO_WORDS += [w.capitalize() for w in _MEMO_WORDS if w.isalpha()]  # after a ".", these end a sentence
 
 
 class TestTagMemo:
@@ -191,26 +178,32 @@ class TestTagMemo:
         assert tag_post(one, lex).tags == ()
 
     @settings(max_examples=200, deadline=None)
-    @given(_post_and_bounds())
-    def test_warm_lexicon_tags_like_a_fresh_one(self, drawn):
-        tokens, first, second = drawn
-        for sentences in (first, second, first):
-            tok = TokenizedPost(tokens=tokens, sentences=sentences)
-            assert tag_post(tok, _WARM) == tag_post(tok, load_lexicon())
+    @given(st.lists(st.lists(st.sampled_from(_MEMO_WORDS), max_size=30).map(" ".join), min_size=1, max_size=3))
+    def test_warm_lexicon_tags_like_a_fresh_one(self, texts):
+        thread = make_thread(["student"] * len(texts), texts=texts, labeled=False)  # the same ids in every example
+        assert tag_thread(thread, _WARM) == tag_thread(thread, load_lexicon())
 
     def test_cross_course_evaluation_matches_each_distinct_post_once(self, monkeypatch):
         spec = GenSpec(n_courses=3, threads_per_course=20, intervention_ratio=0.3, vocabulary_disjointness=0.5,
                        discourse_signal_strength=0.9, seed=5)
         threads = filter_and_label(generate_threads(spec))
-        distinct = {(tok.tokens, tok.sentences) for thread in threads for tok in prepare_thread(thread)}
         tagged, matched = [], []
-        tag, match = discourse.tag_post, discourse._match_connectives
-        monkeypatch.setattr(discourse, "tag_post", lambda *args: tagged.append(1) or tag(*args))
-        monkeypatch.setattr(discourse, "_match_connectives", lambda *args: matched.append(1) or match(*args))
+        tag, match = features.tag_thread, discourse.tag_post
+        monkeypatch.setattr(features, "tag_thread", lambda *args: tagged.append(1) or tag(*args))
+        monkeypatch.setattr(discourse, "tag_post", lambda *args: matched.append(1) or match(*args))
         run_loo_ccv(threads, "pdtb", load_lexicon(), TrainConfig())
-        # every thread is in two training splits and one test split
-        assert len(tagged) == 3 * sum(len(thread.posts) for thread in threads)
-        assert len(matched) == len(distinct)
+        # every thread is in two training splits and one test split, and is matched in the first of them
+        assert len(tagged) == 3 * len(threads)
+        assert len(matched) == sum(len(thread.posts) for thread in set(threads))
+
+    def test_truncated_copy_of_a_tagged_thread_is_tagged_anew(self):
+        texts = ["But why", "If so, then fine", "Because it is", "And then it worked"]
+        raw = make_thread(["student", "student", "instructor", "student"], texts=texts, labeled=False)
+        (truncated,) = filter_and_label([raw])
+        assert hash(truncated) == hash(raw) and len(truncated.posts) == 3  # same ids, fewer posts
+        warm = load_lexicon()
+        for thread in (raw, truncated):
+            assert tag_thread(thread, warm) == tag_thread(thread, load_lexicon())
 
 
 class TestTagThread:
@@ -219,12 +212,12 @@ class TestTagThread:
             ["student", "student", "student"],
             texts=["But why", "If you say", "this will work, then fine"],
         )
-        taggings = tag_thread(thread, list(prepare_thread(thread)), load_lexicon())
+        taggings = tag_thread(thread, load_lexicon())
         assert [len(t) for t in taggings] == [1, 1, 1]
 
     def test_empty_posts(self):
         thread = make_thread(["student", "student"], texts=["", ""])
-        taggings = tag_thread(thread, list(prepare_thread(thread)), load_lexicon())
+        taggings = tag_thread(thread, load_lexicon())
         assert all(len(t) == 0 for t in taggings)
 
     def test_clarification_thread_first_post(self):
@@ -233,13 +226,13 @@ class TestTagThread:
             "the V chord has three roots. Is that normal or just a mistake? Thank you."
         )
         thread = make_thread(["student", "instructor"], texts=[text, "Please read these threads."])
-        taggings = tag_thread(thread, list(prepare_thread(thread)), load_lexicon())
+        taggings = tag_thread(thread, load_lexicon())
         assert [(t.surface, t.sense) for t in taggings[0].tags] == [("or", SenseTag.EXPANSION)]
 
     def test_never_crosses_posts(self):
         # "as soon" ends one post, "as" starts the next; no cross-post match
         thread = make_thread(["student", "student"], texts=["we did it as soon", "as possible"])
-        taggings = tag_thread(thread, list(prepare_thread(thread)), load_lexicon())
+        taggings = tag_thread(thread, load_lexicon())
         for disc in taggings:
             for t in disc.tags:
                 assert t.surface != "as soon as"
@@ -248,24 +241,23 @@ class TestTagThread:
 class TestTagImport:
     def test_round_trip_verbatim(self, tmp_path):
         thread = make_thread(["student", "student"], texts=["But why now", "If only"])
-        toks = list(prepare_thread(thread))
         lex = load_lexicon()
-        native = tag_thread(thread, toks, lex)
+        native = tag_thread(thread, lex)
         path = tmp_path / "tags.tsv"
         path.write_text("\n".join(format_tag_records(thread, native)) + "\n", "utf-8")
         imported = load_tag_import(path)
-        echoed = tag_thread(thread, toks, imported)
+        echoed = tag_thread(thread, imported)
         assert echoed == native
 
     def test_missing_post_is_empty(self, tmp_path):
         thread = make_thread(["student"], texts=["But why"])
-        echoed = tag_thread(thread, list(prepare_thread(thread)), {})
+        echoed = tag_thread(thread, {})
         assert echoed == [PostDiscourse(tags=())]
 
     def test_imported_overrides_matcher(self):
         thread = make_thread(["student"], texts=["no connectives here at all"])
         imports = {("C1", "t1", "p0"): ((0, 1, SenseTag.EXPANSION),)}
-        (disc,) = tag_thread(thread, list(prepare_thread(thread)), imports)
+        (disc,) = tag_thread(thread, imports)
         assert disc.tags[0].sense is SenseTag.EXPANSION
         assert disc.tags[0].surface == "no"
 
@@ -273,7 +265,7 @@ class TestTagImport:
         thread = make_thread(["student"], texts=["short"])
         imports = {("C1", "t1", "p0"): ((0, 99, SenseTag.EXPANSION),)}
         with pytest.raises(LexiconError, match="out of range"):
-            tag_thread(thread, list(prepare_thread(thread)), imports)
+            tag_thread(thread, imports)
 
 
 class TestSenseDistribution:
