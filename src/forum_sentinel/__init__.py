@@ -66,6 +66,6 @@ from .model import (
     train,
 )
 from .syngen import GenSpec, generate, generate_threads
-from .textprep import TokenizedPost, content_filter, replace_nonlexical, tokenize
+from .textprep import TokenizedPost, content_filter, replace_nonlexical
 
 __version__ = "0.1.0"

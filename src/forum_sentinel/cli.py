@@ -3,8 +3,9 @@
 Subcommands: ingest, tag, featurize, train, eval, syngen. A JSON config file
 (--config) can pre-set any optional flag, keyed by its long name with "_"
 for "-"; explicit flags win. The env var FORUM_SENTINEL_LOG sets the log
-level. Every subcommand writes byte-identical outputs for identical inputs
-and seed.
+level: DEBUG, INFO, WARNING, ERROR or CRITICAL in any case, WARNING when
+unset or empty; any other value exits 1. Every subcommand writes
+byte-identical outputs for identical inputs and seed.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed input
 data (corpus, lexicon, tags, features or model file), 3 unexpected failure.
@@ -34,8 +35,11 @@ from .model import TrainConfig, save_model, train
 logger = logging.getLogger(__name__)
 
 def _setup_logging() -> None:
-    level = os.environ.get("FORUM_SENTINEL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """Log at FORUM_SENTINEL_LOG's level: a level name in any case; unset or empty is WARNING."""
+    value = os.environ.get("FORUM_SENTINEL_LOG", "")
+    if (level := value.upper() or "WARNING") not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+        raise ValueError(f"FORUM_SENTINEL_LOG={value!r} is not a log level (DEBUG, INFO, WARNING, ERROR, CRITICAL)")
+    logging.basicConfig(level=getattr(logging, level))
 
 
 def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
@@ -275,20 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    parser = build_parser()
     try:
+        _setup_logging()
+        parser = build_parser()
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the help or the usage error
-        return 0 if exc.code == 0 else 1
-    try:
         if args.config:
             args.parser.set_defaults(**_config_defaults(parser, args))
             args = parser.parse_args(argv)
         if getattr(args, "corpus", "_") is None:
-            print(f"error: {args.command} requires --corpus (flag or config file)", file=sys.stderr)
-            return 1
+            raise ValueError(f"{args.command} requires --corpus (flag or config file)")
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code == 0 else 1
     except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

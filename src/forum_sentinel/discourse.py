@@ -9,6 +9,9 @@ swapped in through the tag-import file format: ``tag_thread`` takes either
 source as its one ``tags`` argument, so the feature pipeline above it is
 tagger-agnostic.
 
+A lexicon surface is tokenized by ``textprep.prepare_text`` like a post ("E.g." is ``e . g .``); the
+4-token limit and the duplicate check count those tokens (format: docs/model-format.md).
+
 ``tag_thread`` reads a thread's tokens from ``textprep.prepare_thread``. A
 lexicon remembers each thread it tagged, so evaluation folds that score a
 thread again reuse its tags. A thread hashes by its ids but compares every
@@ -24,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import InputError, Thread, parse_lines
-from .textprep import TokenizedPost, prepare_thread
+from .textprep import TokenizedPost, prepare_text, prepare_thread
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
@@ -83,9 +86,6 @@ class TaggedConnective:
 class PostDiscourse:
     tags: tuple[TaggedConnective, ...]
 
-    def __len__(self) -> int:
-        return len(self.tags)
-
 
 _UNTAGGED = PostDiscourse(tags=())  # shared by every post without a connective
 
@@ -100,23 +100,12 @@ class ConnectiveLexicon:
             group.sort(key=lambda e: -len(e.tokens))
         self._tagged: dict[Thread, tuple[PostDiscourse, ...]] = {}  # thread -> its posts' tags
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return tuple(surface.split()) in self.entries
-
-    def without(self, surface: str) -> "ConnectiveLexicon":
-        key = tuple(surface.split())
-        return ConnectiveLexicon([e for e in self.entries.values() if e.tokens != key])
-
 
 def _parse_lexicon_line(line: str) -> LexiconEntry:
     parts = line.split("\t")
     if len(parts) != 6:
         raise ValueError(f"expected 6 tab-separated fields, got {len(parts)}")
-    surface = parts[0].strip().lower()
-    tokens = tuple(surface.split())
+    tokens = prepare_text(parts[0]).tokens
     if not tokens:
         raise ValueError("empty surface")
     if len(tokens) > MAX_SURFACE_TOKENS:
@@ -127,7 +116,7 @@ def _parse_lexicon_line(line: str) -> LexiconEntry:
         raise ValueError(f"discourse_prior {prior} outside [0, 1]")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
         raise ValueError("sense weights need >=1 positive, none negative")
-    return LexiconEntry(surface=surface, tokens=tokens, discourse_prior=prior, sense_weights=weights)
+    return LexiconEntry(surface=" ".join(tokens), tokens=tokens, discourse_prior=prior, sense_weights=weights)
 
 
 def load_lexicon(path: str | Path | None = None) -> ConnectiveLexicon:

@@ -10,6 +10,8 @@ courses whose positives are too sparse to ever be predicted.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import random
@@ -255,16 +257,14 @@ def render_records(report: EvalReport) -> str:
 
 def render_csv(report: EvalReport) -> str:
     verify_report(report)
-    lines = ["course,n_threads,precision,recall,f1"]
-    for c in report.per_course:
-        m = c.metrics
-        lines.append(f"{c.course_id},{c.n_threads},{m.precision:.1f},{m.recall:.1f},{m.f1:.1f}")
-    lines.append(
-        f"macro_avg,,{report.macro.precision:.1f},{report.macro.recall:.1f},{report.macro.f1:.1f}"
-    )
-    m = report.weighted_macro
-    lines.append(f"weighted_macro_avg,,{m.precision:.1f},{m.recall:.1f},{m.f1:.1f}")
-    return "\n".join(lines) + "\n"
+    rows = [(c.course_id, c.n_threads, c.metrics) for c in report.per_course]
+    rows += [("macro_avg", "", report.macro), ("weighted_macro_avg", "", report.weighted_macro)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["course", "n_threads", "precision", "recall", "f1"])
+    for name, n_threads, m in rows:
+        writer.writerow([name, n_threads, f"{m.precision:.1f}", f"{m.recall:.1f}", f"{m.f1:.1f}"])
+    return out.getvalue()
 
 
 def render_table(report: EvalReport) -> str:

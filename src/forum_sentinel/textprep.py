@@ -11,8 +11,9 @@ places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
 between them: runs of ASCII letters and digits joined by inner apostrophes,
 or single other non-space characters, lowercased except the placeholders.
 The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
-``prepare_thread`` prepares each post of a thread and caches the result per
-thread, for the lexical features and the tagger alike.
+``prepare_text`` is the only path from text to tokens, for posts, lexicon
+surfaces and affirmation phrases alike. ``prepare_thread`` prepares each
+post of a thread and caches the result per thread.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
 
 
 def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
-    """The tokens of text and its sentence bounds (see tokenize), read up to each candidate bound and the end;
+    """The tokens of text and its sentence bounds (see prepare_text), read up to each candidate bound and the end;
     every non-space character is in one token, so the tokens read so far give the bound's token index."""
     tokens: list[str] = []
     sentences: list[tuple[int, int]] = []
@@ -120,20 +121,14 @@ def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
     return tuple(tokens), tuple(sentences)
 
 
-def tokenize(text: str) -> TokenizedPost:
-    """Split text into lowercase word/punctuation tokens and sentences.
-
-    Placeholder tokens stay uppercase. A sentence ends at a run of . ! ?
-    followed by whitespace and a capital, or at end of text; a terminator run
-    only closes a sentence that already holds at least two word tokens, so
-    short interjections ("Hi!!") fold into the sentence that follows them.
-    """
-    tokens, sentences = _split(text)
-    return TokenizedPost(tokens, sentences, {ph: tokens.count(ph) for ph in PLACEHOLDERS})
-
-
 def prepare_text(text: str) -> TokenizedPost:
-    """replace_nonlexical then tokenize; counts are replacements, not words like "URL"."""
+    """Replace non-lexical spans, then split text into lowercase word/punctuation tokens and sentences.
+
+    Placeholders stay uppercase; the counts are the replacements made, never typed words like "URL".
+    A sentence ends at a run of . ! ? followed by whitespace and a capital, or at end of text; a
+    terminator run only closes a sentence that already holds at least two word tokens, so short
+    interjections ("Hi!!") fold into the sentence that follows them.
+    """
     replaced, counts = replace_nonlexical(text)
     return TokenizedPost(*_split(replaced), counts)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -93,6 +94,28 @@ class TestTag:
         )
         assert code == 0
         assert (out1 / "tags.tsv").read_bytes() == (out2 / "tags.tsv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "surfaces, code, error",
+        [
+            (["e.g.", "As-If"], 0, ""),
+            (["e.g.", "e. g."], 2, "error: lexicon line 2: duplicate surface 'e . g .'\n"),
+            (["e.g.,"], 2, "error: lexicon line 1: surface longer than 4 tokens\n"),
+        ],
+        ids=["punctuated-and-capitalized", "tokenized-alike", "five-tokens"],
+    )
+    def test_lexicon_surfaces_are_tokenized_like_posts(self, surfaces, code, error, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        text = "Use a tool, e.g. a debugger, as-if new"  # e.g. is tokens 4-7, as-if 11-13
+        corpus.write_text(json.dumps(record(posts=[post_obj(0, text=text)])) + "\n", "utf-8")
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("".join(f"{surface}\t0.9\t0\t0\t1\t0\n" for surface in surfaces), "utf-8")
+        argv = ["tag", "--corpus", str(corpus), "--lexicon", str(lexicon), "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert capsys.readouterr().err == error
+        if code == 0:
+            tags = (tmp_path / "o" / "tags.tsv").read_text("utf-8")
+            assert tags == "C1\tt1\tp0\t4:8:Comparison\t11:14:Comparison\n"
 
 
 class TestFeaturizeTrain:
@@ -232,6 +255,29 @@ class TestConfigAndErrors:
             cfg.write_text(json.dumps({key: "x"}))
             assert main(["ingest", "--config", str(cfg), "--corpus", "anything"]) == 1
             assert capsys.readouterr().err.startswith(f"error: unknown config key {key!r}")
+
+    @pytest.mark.parametrize(
+        "value, level",
+        [
+            (None, logging.WARNING), ("", logging.WARNING), ("info", logging.INFO), ("Debug", logging.DEBUG),
+            ("ERROR", logging.ERROR), ("basic_format", None), ("inf0", None), ("10", None), ("warn", None),
+        ],
+        ids=["unset", "empty", "lower", "mixed-case", "upper", "logging-attribute", "misspelt", "number", "alias"],
+    )
+    def test_log_level_from_the_environment(self, value, level, small_corpus, monkeypatch, capsys):
+        if value is None:
+            monkeypatch.delenv("FORUM_SENTINEL_LOG", raising=False)
+        else:
+            monkeypatch.setenv("FORUM_SENTINEL_LOG", value)
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda level: levels.append(level))
+        code = main(["ingest", "--corpus", str(small_corpus)])
+        err = capsys.readouterr().err
+        if level is None:
+            assert (code, levels) == (1, [])
+            assert err == f"error: FORUM_SENTINEL_LOG={value!r} is not a log level (DEBUG, INFO, WARNING, ERROR, CRITICAL)\n"
+        else:
+            assert (code, levels, err) == (0, [level], "")
 
     @pytest.mark.parametrize("kind, code", [("corpus", 2), ("spec", 2), ("config", 1)])
     def test_json_nested_past_the_recursion_limit(self, kind, code, tmp_path, capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from forum_sentinel import discourse, features
 from forum_sentinel.corpus import filter_and_label
 from forum_sentinel.discourse import (
     SENSES,
+    ConnectiveLexicon,
     LexiconError,
     PostDiscourse,
     SenseTag,
@@ -24,7 +28,7 @@ from forum_sentinel.discourse import (
 from forum_sentinel.evaluation import run_loo_ccv
 from forum_sentinel.model import TrainConfig
 from forum_sentinel.syngen import GenSpec, generate_threads
-from forum_sentinel.textprep import TokenizedPost, prepare_text
+from forum_sentinel.textprep import TokenizedPost, load_stopwords, prepare_text
 
 from conftest import make_thread
 
@@ -48,8 +52,8 @@ class TestLoadLexicon:
             ("and", 0.25, 0.05, 0.1, 0.05, 0.8),
         ]
         lex = load_lexicon(write_lexicon(tmp_path, rows))
-        assert len(lex) == 3
-        assert "if" in lex
+        assert len(lex.entries) == 3
+        assert ("if",) in lex.entries
 
     def test_prior_out_of_range(self, tmp_path):
         path = write_lexicon(tmp_path, [("but", 1.3, 0.1, 0.1, 0.7, 0.1)])
@@ -73,7 +77,25 @@ class TestLoadLexicon:
             load_lexicon(path)
 
     def test_default_lexicon_size(self):
-        assert len(load_lexicon()) >= 90
+        assert len(load_lexicon().entries) >= 90
+
+    def test_surfaces_are_tokenized_like_posts(self, tmp_path):
+        rows = [("e.g.", 0.9, 0, 0, 0, 1), ("As-If", 0.9, 0, 0, 1, 0), ("However", 0.9, 0, 0, 1, 0)]
+        lex = load_lexicon(write_lexicon(tmp_path, rows))
+        assert [e.surface for e in lex.entries.values()] == ["e . g .", "as - if", "however"]
+        assert tags_of("Try a tool, e.g. a debugger", lex) == [("e . g .", SenseTag.EXPANSION)]
+        assert tags_of("It runs as-if it were new", lex) == [("as - if", SenseTag.COMPARISON)]
+        assert tags_of("However it fails", lex) == [("however", SenseTag.COMPARISON)]
+
+    def test_shipped_surfaces_and_stopwords_are_already_tokens(self):
+        # the shipped files give the same tokens as a whitespace split, so tagging and filtering them is unchanged
+        text = resources.files("forum_sentinel.data").joinpath("connectives.tsv").read_text("utf-8")
+        surfaces = [line.split("\t")[0] for line in text.splitlines() if line.strip() and not line.startswith("#")]
+        assert len(surfaces) == len(load_lexicon().entries)
+        for surface in surfaces:
+            assert prepare_text(surface).tokens == tuple(surface.split()), surface
+        for word in load_stopwords():
+            assert prepare_text(word).tokens == (word,), word
 
 
 class TestTagPost:
@@ -144,7 +166,7 @@ class TestTagPost:
             tok = prepare_text(" ".join(words))
             removed = rng.choice(surfaces)
             before = tag_post(tok, lex).tags
-            after = tag_post(tok, lex.without(removed)).tags
+            after = tag_post(tok, ConnectiveLexicon([e for e in lex.entries.values() if e.surface != removed])).tags
             affected = [
                 range(t.start, t.end) for t in before if t.surface == removed
             ]
@@ -213,12 +235,12 @@ class TestTagThread:
             texts=["But why", "If you say", "this will work, then fine"],
         )
         taggings = tag_thread(thread, load_lexicon())
-        assert [len(t) for t in taggings] == [1, 1, 1]
+        assert [len(t.tags) for t in taggings] == [1, 1, 1]
 
     def test_empty_posts(self):
         thread = make_thread(["student", "student"], texts=["", ""])
         taggings = tag_thread(thread, load_lexicon())
-        assert all(len(t) == 0 for t in taggings)
+        assert all(t.tags == () for t in taggings)
 
     def test_clarification_thread_first_post(self):
         text = (
@@ -301,3 +323,23 @@ class TestSenseDistribution:
     def test_empty_is_absent(self):
         assert sense_distribution([]) is None
         assert sense_distribution([PostDiscourse(tags=())]) is None
+
+
+_MODEL_FORMAT = (Path(__file__).resolve().parent.parent / "docs" / "model-format.md").read_text("utf-8")
+
+
+def test_model_format_token_examples_hold():
+    # every "`text` is the N tokens `t1 t2 ...`" sentence of the doc, however its lines wrap
+    examples = re.findall(r"`([^`]+)` is the (\d+) tokens `([^`]+)`", " ".join(_MODEL_FORMAT.split()))
+    assert [text for text, _n, _tokens in examples] == ["Don't panic: see https://x.y at 10:30!", "E.g."]
+    for text, n, tokens in examples:
+        assert prepare_text(text).tokens == tuple(tokens.split()) and len(tokens.split()) == int(n), text
+
+
+def test_model_format_lexicon_example_loads(tmp_path):
+    section = _MODEL_FORMAT[_MODEL_FORMAT.index("## Connective lexicon format"):]
+    claim = re.search(r"loads\s+the surfaces ((?:`[^`]+`(?:, | and )?)+)", section).group(1)
+    example = re.findall(r"```\n(.*?)```", section, re.DOTALL)[-1]
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(example, "utf-8")
+    assert [e.surface for e in load_lexicon(path).entries.values()] == re.findall(r"`([^`]+)`", claim)

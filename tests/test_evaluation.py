@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -261,6 +263,16 @@ class TestProtocols:
         assert render_csv(report).startswith("course,")
         table = render_table(report)
         assert "Macro avg." in table and "Weighted macro avg." in table
+
+    def test_csv_course_ids_with_commas_and_quotes_read_back(self):
+        threads = [replace(t, course_id=f'SYN,"x"-{t.course_id[-1]}') for t in _syn_threads()]
+        report = run_loo_ccv(threads, "pdtb", load_lexicon(), TrainConfig())
+        rows = list(csv.reader(render_csv(report).splitlines()))
+        assert [len(row) for row in rows] == [5] * (len(report.per_course) + 3)
+        assert [row[0] for row in rows[1:-2]] == ['SYN,"x"-0', 'SYN,"x"-1']
+        for row, course in zip(rows[1:], report.per_course):
+            m = course.metrics
+            assert row[1:] == [str(course.n_threads), f"{m.precision:.1f}", f"{m.recall:.1f}", f"{m.f1:.1f}"]
 
 
 def test_single_class_training_split_is_scored_not_fatal(tmp_path, caplog, capsys):
