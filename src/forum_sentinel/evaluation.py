@@ -15,6 +15,7 @@ import io
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .corpus import InputError, Label, Thread, by_course
@@ -138,11 +139,9 @@ def verify_report(report: EvalReport) -> None:
 
 
 def _confusion_from_predictions(pairs: list[tuple[int, int]]) -> ConfusionCounts:
-    tp = sum(1 for y, p in pairs if y == 1 and p == 1)
-    fp = sum(1 for y, p in pairs if y == 0 and p == 1)
-    fn = sum(1 for y, p in pairs if y == 1 and p == 0)
-    tn = sum(1 for y, p in pairs if y == 0 and p == 0)
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    """Count (label, prediction) pairs in one pass."""
+    seen = Counter(pairs)
+    return ConfusionCounts(tp=seen[1, 1], fp=seen[0, 1], fn=seen[1, 0], tn=seen[0, 0])
 
 
 def _fit_and_score(

@@ -9,9 +9,11 @@ names to finite values.
 Cross-course evaluation vectorizes every thread once per fold, but a thread's
 lexical block depends on the fold only through the vocabulary. Beside the
 cached ``textprep.prepare_thread`` tokens, ``_lexical_profile`` therefore
-caches each thread's content-filtered unigram counts and its structural
-values once; ``build_vocabulary`` reads its keys and each fold only filters
-the counts by its vocabulary. The cached values are shared and never mutated.
+caches each thread's structural values and its content-filtered unigram
+counts once, the counts already as a row block keyed by ``uni.<token>`` name.
+``build_vocabulary`` reads the block's names; a row whose names all lie in
+the fold's space, as every training row's do, copies the block, and any other
+row keeps the names in the space. The cached values are shared and never mutated.
 A lexicon remembers each thread it tagged (see ``discourse``), so each
 thread is matched only once.
 
@@ -25,7 +27,9 @@ proportions in sense-ordinal-major order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -142,15 +146,36 @@ def load_affirmations() -> tuple[str, ...]:
     return tuple(phrases)
 
 
+class _Shared(dict):
+    """``shared[key]`` is ``make(key)``, made once; a lookup costs less than an ``lru_cache`` call."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+_UNIGRAM_PREFIX = "uni."
+# one name string per token and one float per count for every profile and space: the
+# profiles are held for the run, and a fresh float for each of their counts raised peak RSS
+_UNIGRAM_NAMES = _Shared(_UNIGRAM_PREFIX.__add__)
+_COUNT_FLOATS = _Shared(float)
+
+
 @lru_cache(maxsize=None)
-def _lexical_profile(thread: Thread) -> tuple[dict[str, int], dict[str, float]]:
-    """A thread's content-filtered unigram counts in first-occurrence order, and
-    its nonzero structural values in row order; shared, so never mutate them."""
+def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]]:
+    """A thread's content-filtered unigram counts keyed by feature name, in
+    first-occurrence order, and its nonzero structural values in row order;
+    shared, so never mutate them."""
     tokenized = prepare_thread(thread)
-    unigrams: dict[str, int] = {}
-    for tok in tokenized:
-        for token in content_filter(tok.tokens):
-            unigrams[token] = unigrams.get(token, 0) + 1
+    # filtering each distinct token keeps the first-occurrence order of filtering each occurrence
+    counts = Counter(itertools.chain.from_iterable([tok.tokens for tok in tokenized]))
+    kept = content_filter(list(counts))
+    names = map(_UNIGRAM_NAMES.__getitem__, kept)
+    unigrams = dict(zip(names, map(_COUNT_FLOATS.__getitem__, map(counts.__getitem__, kept))))
 
     values = {f"forum.{thread.subforum.value}": 1.0}
     if _has_affirmation(thread, tokenized):
@@ -179,7 +204,8 @@ def build_vocabulary(training_threads: list[Thread]) -> Vocabulary:
     seen: set[str] = set()
     for thread in training_threads:
         seen.update(_lexical_profile(thread)[0])
-    return Vocabulary(index={token: i for i, token in enumerate(sorted(seen))})
+    prefix = len(_UNIGRAM_PREFIX)  # names sort as their tokens do
+    return Vocabulary(index={name[prefix:]: i for i, name in enumerate(sorted(seen))})
 
 
 def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpace:
@@ -190,13 +216,15 @@ def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpa
     if config in LEXICAL_CONFIGS:
         if vocabulary is None:
             raise ValueError(f"config {config!r} requires a vocabulary")
-        names = STRUCTURAL_NAMES + tuple(f"uni.{tok}" for tok in sorted(vocabulary.index))
+        names = STRUCTURAL_NAMES + tuple(map(_UNIGRAM_NAMES.__getitem__, sorted(vocabulary.index)))
     if config in DISCOURSE_CONFIGS:
         names += PDTB_FEATURE_NAMES
     return FeatureSpace(names, config)
 
 
 def _pdtb_values(taggings: list[PostDiscourse], thread_token_length: int) -> dict[str, float]:
+    if not any(disc.tags for disc in taggings):
+        return {}
     sense_counts = [0] * len(SENSES)
     pair_counts = [0] * len(_PAIR_NAMES)
     for disc in taggings:
@@ -252,9 +280,7 @@ def vectorize(
     space = build_space(config, vocabulary)
     needs_lexical = config in LEXICAL_CONFIGS
     needs_discourse = config in DISCOURSE_CONFIGS
-    unigram_names = {}
-    if needs_lexical:  # rows share the space's name strings, in vocabulary order
-        unigram_names = dict(zip(sorted(vocabulary.index), space.names[len(STRUCTURAL_NAMES) :]))
+    in_space = space._index.keys()
 
     out: list[tuple[FeatureVector, int]] = []
     for thread in threads:
@@ -263,7 +289,11 @@ def vectorize(
         values: dict[str, float] = {}
         if needs_lexical:
             unigrams, structure = _lexical_profile(thread)
-            values = {unigram_names[t]: float(c) for t, c in unigrams.items() if t in unigram_names}
+            # a training row's unigrams all lie in its vocabulary: its row block is copied whole
+            if unigrams.keys() <= in_space:
+                values = unigrams.copy()
+            else:
+                values = {name: count for name, count in unigrams.items() if name in in_space}
             values.update(structure)
         if needs_discourse:  # prepared before tagging, so a cold preparation counts as text prep
             n_tokens = sum(tok.n_tokens for tok in prepare_thread(thread))

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import expit
 
 from .corpus import InputError
@@ -91,8 +92,10 @@ def _dataset_space(dataset: Dataset) -> FeatureSpace:
 def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np.ndarray]:
     y = np.array([float(label) for _vec, label in dataset])
     indptr = np.cumsum([0] + [len(vec.values) for vec, _label in dataset])
-    indices = np.fromiter((space._index[name] for vec, _label in dataset for name in vec.values), np.int64, indptr[-1])
-    data = np.fromiter((value for vec, _label in dataset for value in vec.values.values()), float, indptr[-1])
+    names = itertools.chain.from_iterable([vec.values for vec, _label in dataset])
+    values = itertools.chain.from_iterable([vec.values.values() for vec, _label in dataset])
+    indices = np.fromiter(map(space._index.__getitem__, names), np.int64, indptr[-1])
+    data = np.fromiter(values, float, indptr[-1])
     X = sp.csr_matrix((data, indices, indptr), shape=(len(dataset), len(space)))
     X.sum_duplicates()  # sorts each row by column, so dict order cannot move the bits
     return X, y
@@ -105,13 +108,46 @@ def _sample_weight(y: np.ndarray, config: TrainConfig) -> tuple[float, np.ndarra
     return cw, np.where(y == 1.0, cw, 1.0)
 
 
+def _kernel_product(A: sp.csr_matrix):
+    """``product(v, out=zeros)`` adds A @ v into ``out`` and returns it, through ``csr_matvec``,
+    the kernel ``A @ v`` ends in: a zero ``out`` gets ``A @ v``'s bits without scipy.sparse's
+    per-call dispatch. The kernel checks no length, so the product does."""
+    n_row, n_col = A.shape
+    parts = (n_row, n_col, A.indptr, A.indices, A.data)
+
+    def product(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros(n_row)
+        if v.shape != (n_col,) or out.shape != (n_row,):
+            raise ValueError(f"a {n_row}x{n_col} product got v of shape {v.shape} and out of shape {out.shape}")
+        csr_matvec(*parts, v, out)
+        return out
+
+    return product
+
+
 def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: float):
     """The weighted objective over theta = (w, b): ``fun(theta) -> (loss, gradient)``
     and the exact Hessian-vector product ``hessp(theta, v)``. Xᵀ is built once, and
     D = sw·p(1−p) once per point theta, by whichever of the two reaches it first.
+    Both products go through ``_kernel_product``, so they keep ``X @ v``'s bits.
     """
-    XT = X.T.tocsr()
+    d = X.shape[1]
+    x_product, xt_product = _kernel_product(X), _kernel_product(X.T.tocsr())
     at: dict = {"theta": None}
+
+    def margin(w: np.ndarray, b: float) -> np.ndarray:
+        z = x_product(w)
+        z += b
+        return z
+
+    def back(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(Xᵀu + lam·v, Σu) in one array, the gradient's or the Hessian product's shape."""
+        out = np.zeros(d + 1)
+        xt_product(u, out[:-1])
+        out[:-1] += lam * v
+        out[-1] = u.sum()
+        return out
 
     def probability(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         p = expit(z)
@@ -120,21 +156,19 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w = theta[:-1]
-        z = X @ w + theta[-1]
+        z = margin(w, theta[-1])
         # log(1 + e^z) - y z, elementwise-stable
         nll = np.logaddexp(0.0, z) - y * z
         # numpy's pairwise sum, not BLAS ddot: a threaded ddot's bits depend on the thread
         # count, and einsum's coarser sum left trust-ncg short of tol on 10k-row fits
         loss = float(np.sum(sample_weight * nll) + 0.5 * lam * (w @ w))
-        residual = sample_weight * (probability(theta, z) - y)
-        return loss, np.append(XT @ residual + lam * w, residual.sum())
+        return loss, back(sample_weight * (probability(theta, z) - y), w)
 
     def hessp(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, at["theta"]):
-            probability(theta, X @ theta[:-1] + theta[-1])
+            probability(theta, margin(theta[:-1], theta[-1]))
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow, not numpy
-            u = at["d"] * (X @ v[:-1] + v[-1])
-            product = np.append(XT @ u + lam * v[:-1], u.sum())
+            product = back(at["d"] * margin(v[:-1], v[-1]), v[:-1])
             if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
                 raise ValueError("the fit overflowed: feature values are too large")
         return product
@@ -304,6 +338,12 @@ def load_model(path: str | Path) -> MaxentModel:
             raise ValueError(f"expected a {tag!r} line of {count} cells")
         return parts[1:]
 
+    def finite(text: str, what: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{what} is {text}, not finite")
+        return value
+
     def settings(tag: str, count: int) -> dict[str, str]:
         pairs = [cell.partition("=") for cell in cells(tag, count)]
         if not all(eq for _key, eq, _value in pairs):
@@ -318,15 +358,20 @@ def load_model(path: str | Path) -> MaxentModel:
         fit_kv = settings("fit", 3)
         if fit_kv["converged"] not in ("0", "1"):
             raise ValueError(f"converged={fit_kv['converged']} is not 0 or 1")
-        class_weight_value, n_iterations = float(fit_kv["class_weight"]), int(fit_kv["n_iterations"])
+        class_weight_value = finite(fit_kv["class_weight"], "class_weight")
+        if class_weight_value <= 0:
+            raise ValueError(f"class_weight={fit_kv['class_weight']} is not positive")
+        n_iterations = int(fit_kv["n_iterations"])
+        if not 0 <= n_iterations <= config.max_iterations:
+            raise ValueError(f"n_iterations={n_iterations} is not within 0..max_iterations={config.max_iterations}")
         space_config, provenance, ndims = cells("space", 3)
         weights: dict[str, float] = {}
         for _ in range(int(ndims)):
             name, value = cells("w", 2)
             if name in weights:
                 raise ValueError(f"duplicate weight line for {name!r}")
-            weights[name] = float(value)
-        bias = float(cells("bias", 1)[0])
+            weights[name] = finite(value, f"weight of {name!r}")
+        bias = finite(cells("bias", 1)[0], "bias")
         cells("end", 0)
     except (KeyError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc

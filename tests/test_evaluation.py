@@ -62,6 +62,14 @@ class TestPrf1:
             if m.precision > 0 and m.recall > 0:
                 assert min(m.precision, m.recall) <= m.f1 <= max(m.precision, m.recall)
 
+    def test_confusion_counts_each_label_prediction_pair(self):
+        rng = random.Random(4)
+        for n in (0, 1, 7, 200):
+            pairs = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)]
+            want = [sum(1 for pair in pairs if pair == cell) for cell in ((1, 1), (0, 1), (1, 0), (0, 0))]
+            got = evaluation._confusion_from_predictions(pairs)
+            assert [got.tp, got.fp, got.fn, got.tn] == want
+
 
 class TestAggregation:
     def test_ccv_macro_row(self):

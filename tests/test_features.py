@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from forum_sentinel.discourse import SENSES, PostDiscourse, SenseTag, TaggedConnective, load_lexicon
+from forum_sentinel.discourse import SENSES, PostDiscourse, SenseTag, TaggedConnective, load_lexicon, tag_thread
 from forum_sentinel.features import (
     PDTB_FEATURE_NAMES,
     STRUCTURAL_NAMES,
@@ -18,6 +18,7 @@ from forum_sentinel.features import (
 )
 from forum_sentinel.corpus import filter_and_label
 from forum_sentinel.syngen import GenSpec, generate_threads
+from forum_sentinel.textprep import content_filter, prepare_thread
 
 from conftest import make_thread
 
@@ -292,3 +293,46 @@ def test_rows_do_not_depend_on_earlier_vocabularies(config):
     assert again_a == first_a  # same values dicts, same key order
     _lexical_profile.cache_clear()
     assert _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs)) == first_a
+
+
+def _reference_rows(threads, config, vocabulary, tags):
+    """Rows built token by token, as a plain reading of the feature definitions: count each
+    content token, keep those in the vocabulary as ``uni.<token>`` with float counts, then
+    the structural values, then the discourse block."""
+    rows = []
+    for thread in threads:
+        counts: dict[str, int] = {}
+        for tok in prepare_thread(thread):
+            for token in content_filter(tok.tokens):
+                counts[token] = counts.get(token, 0) + 1
+        values = {f"uni.{token}": float(count) for token, count in counts.items() if token in vocabulary.index}
+        values.update(_lexical_profile(thread)[1])
+        if config == "eplusp":
+            n_tokens = sum(tok.n_tokens for tok in prepare_thread(thread))
+            values.update(pdtb_features(tag_thread(thread, tags), n_tokens).values)
+        rows.append(list(values.items()))
+    return rows
+
+
+@pytest.mark.parametrize("config", ["edm15", "eplusp"])
+def test_rows_match_a_token_by_token_reference(config):
+    many = " ".join(["gradient"] * 300)  # a count of 300
+    train = [
+        make_thread(["student", "student"], texts=[f"However the {many} converges", "thanks, it works"], tid="a"),
+        make_thread(["student"], texts=["alpha beta alpha because of beta"], tid="b"),
+    ]
+    test = [
+        make_thread(["student"], texts=["alpha newword gradient unseen"], tid="c"),  # out-of-vocabulary tokens
+        make_thread(["student"], texts=["it is a"], tid="d"),  # no content token
+        make_thread(["student"], texts=["alpha gradient beta"], tid="e"),  # all in the vocabulary
+    ]
+    vocabulary, tags = build_vocabulary(train), load_lexicon()
+    for threads in (train, test):
+        got = vectorize(threads, config, vocabulary=vocabulary, tags=tags)
+        rows = [list(vec.values.items()) for vec, _label in got]
+        assert rows == _reference_rows(threads, config, vocabulary, tags)  # same names, values and order
+        assert all(type(value) is float for row in rows for _name, value in row)
+    # the threads cover what they are named for
+    assert dict(_reference_rows(train[:1], config, vocabulary, tags)[0])["uni.gradient"] == 300.0
+    assert not {"newword", "unseen"} & vocabulary.index.keys()
+    assert not any(name.startswith("uni.") for name, _value in _reference_rows(test[1:2], config, vocabulary, tags)[0])

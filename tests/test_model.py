@@ -24,6 +24,7 @@ from forum_sentinel.model import (
     MaxentModel,
     ModelFormatError,
     TrainConfig,
+    _kernel_product,
     _objective,
     _to_arrays,
     class_weight,
@@ -238,6 +239,33 @@ class TestMatrixAndObjectiveBits:
             else:
                 v = np.array([rng.gauss(0, 1) for _ in range(7)])
                 assert np.array_equal(hessp(point, v), reference_hessp(point, v))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 12),
+        density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), square=st.booleans(),
+    )
+    @example(seed=0, n=1, d=1, density=1.0, square=False)
+    @example(seed=1, n=5, d=5, density=0.6, square=True)
+    @example(seed=2, n=4, d=3, density=0.0, square=False)
+    def test_kernel_products_match_scipy_bit_for_bit(self, seed, n, d, density, square):
+        rng = np.random.default_rng(seed)
+        d = n if square else d
+        dense = rng.normal(0, 1e3, (n, d)) * (rng.random((n, d)) < density)
+        dense *= (rng.random((n, 1)) < 0.7) & (rng.random((1, d)) < 0.7)  # some rows and columns empty
+        X = sp.csr_matrix(dense)
+        XT = X.T.tocsr()
+        v, u = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, d), rng.normal(size=n)
+        assert _kernel_product(X)(v).tobytes() == (X @ v).tobytes()
+        assert _kernel_product(XT)(u).tobytes() == (X.T @ u).tobytes()
+        out = np.zeros(d + 1)  # a view of a longer output, as the objective's gradient takes it
+        out[-1] = 7.0
+        _kernel_product(XT)(u, out[:-1])
+        assert out[:-1].tobytes() == (X.T @ u).tobytes() and out[-1] == 7.0
+        with pytest.raises(ValueError, match="shape"):
+            _kernel_product(X)(np.zeros(d + 1))
+        with pytest.raises(ValueError, match="shape"):
+            _kernel_product(X)(v, np.zeros(n + 1))
 
     def test_loss_bits_do_not_depend_on_blas_threads(self):
         # OpenBLAS threads a dot product above 10,000 elements, and a threaded sum
@@ -543,6 +571,33 @@ class TestSaveLoad:
         assert n == 1
         path.write_text(text, "utf-8")
         with pytest.raises(ModelFormatError, match=r"byte \d+"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "pattern, new, reason",
+        [
+            (r"^w\tf2\t.*$", "w\tf2\tnan", "weight of 'f2' is nan, not finite"),
+            (r"^w\tf0\t.*$", "w\tf0\t1e999", "weight of 'f0' is 1e999, not finite"),
+            (r"^bias\t.*$", "bias\t-inf", "bias is -inf, not finite"),
+            (r"\tclass_weight=[^\t]*", "\tclass_weight=nan", "class_weight is nan, not finite"),
+            (r"\tclass_weight=[^\t]*", "\tclass_weight=0", "class_weight=0 is not positive"),
+            (r"\tn_iterations=\d+", "\tn_iterations=-3", "n_iterations=-3 is not within 0..max_iterations=500"),
+            (r"\tn_iterations=\d+", "\tn_iterations=501", "n_iterations=501 is not within 0..max_iterations=500"),
+        ],
+        ids=["weight-nan", "weight-overflows", "bias-minus-inf", "class-weight-nan", "class-weight-zero",
+             "negative-iterations", "iterations-past-max"],
+    )
+    def test_value_a_model_cannot_hold_names_its_line(self, pattern, new, reason, tmp_path):
+        # such a file would load into a model whose predict_proba is nan and whose predict answers 0
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        text, n = re.subn(pattern, new, path.read_text("utf-8"), count=1, flags=re.MULTILINE)
+        assert n == 1
+        path.write_text(text, "utf-8")
+        line = next(line for line in text.split("\n") if new.lstrip("\t") in line)
+        offset = len(text[: text.index(line)].encode("utf-8"))
+        with pytest.raises(ModelFormatError, match=re.escape(f"line at byte {offset}: {reason}")):
             load_model(path)
 
 
