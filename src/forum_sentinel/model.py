@@ -4,9 +4,10 @@ The loss is the class-weighted negative conditional log-likelihood plus an L2
 penalty on the weights (bias unpenalized): positive examples are multiplied
 by the negative/positive training-count ratio, which is how the classifier
 counteracts the heavy skew toward non-intervened threads. Training is
-deterministic. The default fit is liblinear's trust-region Newton (TRON) with
-the exact Hessian-vector product; L-BFGS-B and a backtracking gradient descent
-are cross-checks, and with lambda>0 all three must agree on the unique optimum.
+deterministic. The default fit is trust-region Newton with Steihaug's conjugate
+gradient on the exact Hessian-vector product, scipy's trust-ncg step for step;
+L-BFGS-B and a backtracking gradient descent are cross-checks, and with
+lambda>0 all three must agree on the unique optimum.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
@@ -127,14 +129,13 @@ def _kernel_product(A: sp.csr_matrix):
 
 
 def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: float):
-    """The weighted objective over theta = (w, b): ``fun(theta) -> (loss, gradient)``
-    and the exact Hessian-vector product ``hessp(theta, v)``. Xᵀ is built once, and
-    D = sw·p(1−p) once per point theta, by whichever of the two reaches it first.
-    Both products go through ``_kernel_product``, so they keep ``X @ v``'s bits.
+    """The weighted objective over theta = (w, b): ``fun(theta) -> (loss, gradient, curvature)``
+    and the exact Hessian-vector product ``hessp(curvature, v)`` at the point whose curvature
+    D = sw·p(1−p) ``fun`` returned. Xᵀ is built once. Both products go through
+    ``_kernel_product``, so they keep ``X @ v``'s bits.
     """
     d = X.shape[1]
     x_product, xt_product = _kernel_product(X), _kernel_product(X.T.tocsr())
-    at: dict = {"theta": None}
 
     def margin(w: np.ndarray, b: float) -> np.ndarray:
         z = x_product(w)
@@ -149,12 +150,7 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
         out[-1] = u.sum()
         return out
 
-    def probability(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        p = expit(z)
-        at.update(theta=theta.copy(), d=sample_weight * p * (1.0 - p))
-        return p
-
-    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def fun(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w = theta[:-1]
         z = margin(w, theta[-1])
         # log(1 + e^z) - y z, elementwise-stable
@@ -162,16 +158,11 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
         # numpy's pairwise sum, not BLAS ddot: a threaded ddot's bits depend on the thread
         # count, and einsum's coarser sum left trust-ncg short of tol on 10k-row fits
         loss = float(np.sum(sample_weight * nll) + 0.5 * lam * (w @ w))
-        return loss, back(sample_weight * (probability(theta, z) - y), w)
+        p = expit(z)
+        return loss, back(sample_weight * (p - y), w), sample_weight * p * (1.0 - p)
 
-    def hessp(theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if not np.array_equal(theta, at["theta"]):
-            probability(theta, margin(theta[:-1], theta[-1]))
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow, not numpy
-            product = back(at["d"] * margin(v[:-1], v[-1]), v[:-1])
-            if not np.isfinite(v @ product):  # trust-ncg's conjugate gradient never ends once its curvature overflows
-                raise ValueError("the fit overflowed: feature values are too large")
-        return product
+    def hessp(curvature: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return back(curvature * margin(v[:-1], v[-1]), v[:-1])
 
     return fun, hessp
 
@@ -185,20 +176,102 @@ def loss_and_gradient(
         raise ValueError("dataset feature space differs from the model's")
     X, y = _to_arrays(dataset, space)
     fun, _hessp = _objective(X, y, _sample_weight(y, config)[1], config.l2_lambda)
-    loss, grad = fun(np.append(model.weight_vector(), model.bias))
+    loss, grad, _curvature = fun(np.append(model.weight_vector(), model.bias))
     return loss, dict(zip(space.names, grad[:-1].tolist())), float(grad[-1])
 
 
+_OVERFLOW = "the fit overflowed: feature values are too large"
+_nrm2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")  # as scipy.linalg.norm picks it
+_STOPS = ("Optimization terminated successfully.", "Maximum number of iterations has been exceeded.",
+          "A bad approximation caused failure to predict improvement.")  # trust-ncg's, by status
+
+
+def _norm(v: np.ndarray) -> float:
+    """‖v‖₂ by BLAS dnrm2, as scipy.linalg.norm takes it; a NaN or inf in v raises, as there."""
+    norm = _nrm2(v)
+    if not math.isfinite(norm) and not np.isfinite(v).all():
+        raise InputError(_OVERFLOW)
+    return norm
+
+
+def _to_boundary(z: np.ndarray, d: np.ndarray, radius: float) -> list:
+    """Both t with ‖z + t·d‖ = radius, low then high, in scipy's rounding-stable form."""
+    a, b, c = np.dot(d, d), 2 * np.dot(z, d), np.dot(z, z) - radius**2
+    aux = b + math.copysign(math.sqrt(b * b - 4 * a * c), b)
+    return sorted([-aux / (2 * a), -2 * c / aux])
+
+
+def _trust_ncg(fun, x0, *, hessp, maxiter, gtol, **_unused):
+    """scipy's trust-ncg step for step, with its arithmetic in its order, so its bits: Steihaug CG in a
+    trust region of radius 1 at the start and at most 1000, keeping a step whose ratio of actual to
+    predicted reduction exceeds 0.15. ``nit`` counts every trial step. A ``scipy.optimize.minimize``
+    method over ``_objective``'s ``fun`` and ``hessp``."""
+    x, radius, nit, status = x0, 1.0, 0, 0
+    f, g, curvature = fun(x)
+    g_norm = _norm(g)
+
+    def curve(v):  # (Hv, v·Hv) at x; CG never ends once that curvature overflows, so it raises
+        hv = hessp(curvature, v)
+        if not math.isfinite(vhv := np.dot(v, hv)):
+            raise InputError(_OVERFLOW)
+        return hv, vhv
+
+    def predicted(p):
+        return f + np.dot(g, p) + 0.5 * curve(p)[1]
+
+    def steihaug():
+        tolerance = min(0.5, math.sqrt(g_norm)) * g_norm
+        z, r, d = np.zeros_like(g), g, -g
+        while True:
+            bd, dbd = curve(d)
+            if dbd <= 0:  # nonpositive curvature: the better of the two boundary points
+                pa, pb = (z + t * d for t in _to_boundary(z, d, radius))
+                return (pa if predicted(pa) < predicted(pb) else pb), True
+            r_squared = np.dot(r, r)
+            alpha = r_squared / dbd
+            z_next = z + alpha * d
+            if _norm(z_next) >= radius:
+                return z + _to_boundary(z, d, radius)[1] * d, True
+            r_next = r + alpha * bd
+            r_next_squared = np.dot(r_next, r_next)
+            if math.sqrt(r_next_squared) < tolerance:
+                return z_next, False
+            z, r, d = z_next, r_next, -r_next + (r_next_squared / r_squared) * d
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report an overflow, not numpy
+        while g_norm >= gtol:
+            p, hits_boundary = steihaug()
+            predicted_reduction = f - predicted(p)
+            if predicted_reduction <= 0:
+                status = 2
+                break
+            trial = x + p
+            f_trial, g_trial, curvature_trial = fun(trial)
+            rho = (f - f_trial) / predicted_reduction
+            if rho < 0.25:
+                radius *= 0.25
+            elif rho > 0.75 and hits_boundary:
+                radius = min(2 * radius, 1000.0)
+            if rho > 0.15:
+                x, f, g, curvature, g_norm = trial, f_trial, g_trial, curvature_trial, _norm(g_trial)
+            nit += 1
+            if g_norm >= gtol and nit >= maxiter:
+                status = 1
+                break
+    return scipy.optimize.OptimizeResult(x=x, nit=nit, status=status, message=_STOPS[status])
+
+
 def _optimize_newton(fun, hessp, theta0, max_iterations, tol):
-    # scipy's gtol bounds the gradient 2-norm, which bounds the inf-norm train checks
+    # gtol bounds the gradient 2-norm, which bounds the inf-norm train checks; the loop runs as a
+    # scipy.optimize.minimize method, so each fit is one call there, as it was with scipy's own loop
     options = {"maxiter": max_iterations, "gtol": tol}
-    result = scipy.optimize.minimize(fun, theta0, jac=True, hessp=hessp, method="trust-ncg", options=options)
+    result = scipy.optimize.minimize(fun, theta0, hessp=hessp, method=_trust_ncg, options=options)
     return result.x, int(result.nit), str(result.message)
 
 
 def _optimize_lbfgs(fun, _hessp, theta0, max_iterations, tol):
     result = scipy.optimize.minimize(
-        fun,
+        lambda theta: fun(theta)[:2],
         theta0,
         jac=True,
         method="L-BFGS-B",
@@ -216,7 +289,7 @@ def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
     """Plain gradient descent with Armijo backtracking; the cross-check optimizer.
     Like scipy's, it returns the point, its iteration count and why it stopped."""
     theta = theta0.copy()
-    loss, grad = fun(theta)
+    loss, grad, _curvature = fun(theta)
     step = 1.0
     it = 0
     while it < max_iterations and np.max(np.abs(grad)) > tol:
@@ -224,7 +297,7 @@ def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
         slope = grad @ direction
         while True:
             candidate = theta + step * direction
-            new_loss, new_grad = fun(candidate)
+            new_loss, new_grad, _curvature = fun(candidate)
             if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -254,7 +327,7 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
     fun, hessp = _objective(X, y, sample_weight, config.l2_lambda)
     theta0 = np.zeros(X.shape[1] + 1)
     theta, n_iter, reason = _OPTIMIZERS[method](fun, hessp, theta0, config.max_iterations, config.convergence_tol)
-    _loss, final_grad = fun(theta)
+    _loss, final_grad, _curvature = fun(theta)
     grad_inf = float(np.max(np.abs(final_grad))) if final_grad.size else 0.0
     converged = grad_inf <= config.convergence_tol
     status, cmp = ("converged", "<=") if converged else (f"stopped unconverged ({reason})", ">")

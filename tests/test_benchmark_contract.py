@@ -2,8 +2,9 @@
 
 A renamed or removed attribute makes every benchmark run fail, so each
 workload runs here once, traced, on a corpus of 3 courses x 20 threads. A
-traced run also checks how often each thread is vectorized and tagged, and
-that every fit reached its optimum.
+traced run also checks how often each thread is vectorized and tagged, that
+every fit reached its optimum, and that every fit ran its optimizer inside the
+span the benchmark times.
 """
 
 from __future__ import annotations
@@ -59,3 +60,6 @@ def test_traced_workload_runs_clean(workload, corpus, tmp_path):
     assert doc["traced"]
     assert doc["failures"] == []
     assert doc["layers"]["model.unconverged"] == 0
+    # the benchmark times a fit's optimizer as one scipy.optimize.minimize call: every fit makes one
+    optimize_calls = [row["calls"] for row in doc["table"] if row["span"] == "model.optimize"]
+    assert optimize_calls == [doc["layers"]["model.train_calls"]] and optimize_calls[0] > 0

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from forum_sentinel.corpus import InputError
 from forum_sentinel.features import FeatureSpace, FeatureVector
 from forum_sentinel.model import (
     MaxentModel,
@@ -26,7 +28,9 @@ from forum_sentinel.model import (
     TrainConfig,
     _kernel_product,
     _objective,
+    _optimize_newton,
     _to_arrays,
+    _trust_ncg,
     class_weight,
     load_model,
     loss_and_gradient,
@@ -139,7 +143,7 @@ class TestLossAndGradient:
             theta = np.array([rng.gauss(0, 1) for _ in range(6)])
             v = np.array([rng.gauss(0, 1) for _ in range(6)])
             fd = (grad(theta + h * v) - grad(theta - h * v)) / (2 * h)
-            np.testing.assert_allclose(hessp(theta, v), fd, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(hessp(fun(theta)[2], v), fd, rtol=1e-6, atol=1e-6)
 
     def test_doubling_class_weight_doubles_positive_contribution(self):
         rng = random.Random(0)
@@ -227,18 +231,20 @@ class TestMatrixAndObjectiveBits:
         a, b, c = (np.array([rng.gauss(0, 1) for _ in range(7)]) for _ in range(3))
         theta = c.copy()
         # trust-ncg's order: fun then products at a point; a rejected trial point b sends it back to a;
-        # c is changed in place after fun saw it, and the last point is one fun never saw
+        # c is changed in place after fun saw it, and products at it still use the curvature fun gave
         calls = [("fun", a), ("hessp", a), ("hessp", a), ("fun", b), ("hessp", a), ("fun", a),
-                 ("fun", theta), ("mutate", theta), ("hessp", theta), ("hessp", b + 1.0)]
+                 ("fun", theta), ("mutate", theta), ("hessp", c), ("fun", b + 1.0), ("hessp", b + 1.0)]
+        curvature_at = {}
         for kind, point in calls:
             if kind == "mutate":
                 point += 0.5
             elif kind == "fun":
-                (loss, grad), (want_loss, want_grad) = fun(point), reference_fun(point)
+                (loss, grad, curvature), (want_loss, want_grad) = fun(point), reference_fun(point)
                 assert loss == want_loss and np.array_equal(grad, want_grad)
+                curvature_at[point.tobytes()] = curvature
             else:
                 v = np.array([rng.gauss(0, 1) for _ in range(7)])
-                assert np.array_equal(hessp(point, v), reference_hessp(point, v))
+                assert np.array_equal(hessp(curvature_at[point.tobytes()], v), reference_hessp(point, v))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -287,6 +293,95 @@ class TestMatrixAndObjectiveBits:
             for child_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
         ]
         assert losses[0] == losses[1] and losses[0].strip()
+
+
+def small_problem(seed: int, n: int, d: int, density: float, scale: float, start: float, lam: float):
+    """A random n x d objective with features of the given scale, and a start point of the given scale."""
+    rng = np.random.default_rng(seed)
+    X = sp.csr_matrix(rng.normal(0, scale, (n, d)) * (rng.random((n, d)) < density))
+    y = (rng.random(n) < 0.5).astype(float)
+    fun, hessp = _objective(X, y, np.where(y == 1.0, 2.0, 1.0), lam)
+    return fun, hessp, rng.normal(0, start, d + 1)
+
+
+def traced_newton(fun, hessp, theta0, max_iterations, tol):
+    """``_optimize_newton`` with a log of its path, read from outside the loop: a trial step was
+    rejected when a product uses an older point's curvature than the last ``fun`` returned; a
+    direction is flat when v·Hv <= 0; the first trial step ended on the trust boundary when it is
+    1 (the initial radius) long."""
+    log = {"points": [], "rejected": 0, "flat": 0}
+    last = {}
+
+    def logged_fun(theta):
+        loss, grad, last["curvature"] = fun(theta)
+        log["points"].append(theta.copy())
+        return loss, grad, last["curvature"]
+
+    def logged_hessp(curvature, v):
+        if curvature is not last["curvature"]:
+            log["rejected"] += 1
+            last["curvature"] = curvature
+        product = hessp(curvature, v)
+        log["flat"] += bool(np.dot(v, product) <= 0)
+        return product
+
+    result = _optimize_newton(logged_fun, logged_hessp, theta0, max_iterations, tol)
+    first = log["points"][1:2]
+    log["boundary"] = bool(first) and abs(np.linalg.norm(first[0] - theta0) - 1.0) < 1e-12
+    return result, log
+
+
+class TestTrustRegionLoop:
+    """The Newton fit's own loop takes scipy's trust-ncg path: the same point bit for bit, the same
+    number of trial steps and the same stop message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d=st.integers(1, 4),
+        density=st.sampled_from([0.3, 0.6, 1.0]), scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+        start=st.sampled_from([0.0, 1.0, 10.0, 100.0]), lam=st.sampled_from([0.0, 1e-4, 1e-2]),
+        max_iterations=st.integers(1, 3) | st.just(100), tol=st.sampled_from([1e-6, 1e-300]),
+        shows=st.just(None),
+    )
+    # each example is the first of seeds 0-399 whose traced path, on the shape listed, shows its case;
+    # "flat" needs lambda 0 and margins so large that p(1-p) vanishes, so CG meets v·Hv <= 0
+    @example(seed=0, n=8, d=2, density=1.0, scale=10.0, start=1.0, lam=1e-4, max_iterations=3, tol=1e-6,
+             shows="rejected")
+    @example(seed=0, n=6, d=3, density=0.6, scale=1.0, start=0.0, lam=1e-2, max_iterations=1, tol=1e-6,
+             shows="boundary")
+    @example(seed=1, n=6, d=2, density=1.0, scale=10.0, start=100.0, lam=0.0, max_iterations=2, tol=1e-6,
+             shows="flat")
+    @example(seed=0, n=12, d=3, density=1.0, scale=1.0, start=0.0, lam=1e-4, max_iterations=100, tol=1e-300,
+             shows="bad approximation")
+    def test_path_matches_scipy_trust_ncg(self, seed, n, d, density, scale, start, lam, max_iterations, tol, shows):
+        fun, hessp, theta0 = small_problem(seed, n, d, density, scale, start, lam)
+        (x, nit, message), log = traced_newton(fun, hessp, theta0, max_iterations, tol)
+        reference = scipy.optimize.minimize(
+            lambda theta: fun(theta)[:2], theta0, jac=True, hessp=lambda theta, v: hessp(fun(theta)[2], v),
+            method="trust-ncg", options={"maxiter": max_iterations, "gtol": tol},
+        )
+        assert x.tobytes() == reference.x.tobytes()
+        assert (nit, message) == (reference.nit, reference.message)
+        if shows == "rejected":
+            assert log["rejected"]
+        elif shows == "boundary":
+            assert log["boundary"]
+        elif shows == "flat":
+            assert log["flat"]
+        elif shows == "bad approximation":
+            assert message == "A bad approximation caused failure to predict improvement."
+
+    def test_a_non_finite_norm_is_an_overflow(self):
+        # scipy's norm raises on a NaN or inf through asarray_chkfinite; the loop's BLAS norm does too
+        def fun(theta):
+            return 0.0, np.array([np.inf, 1.0]), np.ones(1)
+
+        with pytest.raises(ValueError):
+            scipy.optimize.minimize(lambda t: fun(t)[:2], np.zeros(2), jac=True, hessp=lambda t, v: v,
+                                    method="trust-ncg")
+        with pytest.raises(InputError, match="^the fit overflowed"):
+            scipy.optimize.minimize(fun, np.zeros(2), hessp=lambda c, v: v, method=_trust_ncg,
+                                    options={"maxiter": 1, "gtol": 1e-6})
 
 
 class TestTrain:
@@ -367,6 +462,12 @@ class TestTrain:
         space = make_space(1)
         data = [(FeatureVector({"f0": value}, space), 1), (FeatureVector({}, space), 1), (FeatureVector({}, space), 0)]
         with pytest.raises(ValueError, match="overflowed"):  # 1e100 used to spin in trust-ncg forever
+            train(data, TrainConfig())
+
+    def test_an_overflowing_fit_is_bad_input(self):
+        space = make_space(1)
+        data = [(FeatureVector({"f0": 1e300}, space), 1), (FeatureVector({}, space), 1), (FeatureVector({}, space), 0)]
+        with pytest.raises(InputError, match="^the fit overflowed"):  # so eval exits 2, as train does
             train(data, TrainConfig())
 
     def test_regularization_shrinks_weights_monotonically(self):
