@@ -31,6 +31,7 @@ from .discourse import (
 )
 from .features import FeatureSpace, FeatureVector, build_vocabulary, vectorize
 from .model import TrainConfig, save_model, train
+from .textprep import Shared
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +92,10 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise InputError(f"--out {out} cannot be the output directory: it or a parent is a file") from None
     return out
 
 
@@ -137,13 +141,13 @@ def cmd_featurize(args) -> int:
     vocabulary = build_vocabulary(threads) if args.features in features.LEXICAL_CONFIGS else None
     data = vectorize(threads, args.features, vocabulary=vocabulary, tags=tags)
     space = features.build_space(args.features, vocabulary)
-    lines = ["#space\t" + "\t".join((args.features,) + space.names)]
-    for thread, (vec, label) in zip(threads, data):
-        cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
-        cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
-        lines.append("\t".join(cells))
     out = _out_dir(args) / "features.tsv"
-    out.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with out.open("w", encoding="utf-8", newline="\n") as dump:  # one row at a time, each ended by LF
+        dump.write("\t".join(("#space", args.features) + space.names) + "\n")
+        for thread, (vec, label) in zip(threads, data):
+            cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
+            cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
+            dump.write("\t".join(cells) + "\n")
     print(f"wrote {out} ({len(threads)} threads, {len(space)} dims)")
     return 0
 
@@ -155,7 +159,8 @@ class FeatureDumpError(InputError):
 def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
     space = None
-    shared: dict[str, str] = {}  # one string per feature across all rows
+    shared = Shared(str)  # one string per feature and one float per value text across all rows
+    floats = Shared(float)
     seen: set[tuple[str, str]] = set()
 
     def parse(line: str):
@@ -176,7 +181,7 @@ def load_feature_dump(path: str | Path):
         values = {}
         for cell in cells:
             name, _, value = cell.rpartition(":")
-            values[shared.get(name, name)] = float(value)
+            values[shared[name]] = floats[value]
         if len(values) < len(cells):
             names = [cell.rpartition(":")[0] for cell in cells]
             raise ValueError(f"duplicate feature {next(n for n in names if names.count(n) > 1)!r} in the row")

@@ -36,7 +36,7 @@ from importlib import resources
 
 from .corpus import CONTENT_SUBFORUMS, Label, Thread
 from .discourse import SENSES, ConnectiveLexicon, PostDiscourse, TagImport, tag_thread
-from .textprep import TokenizedPost, content_filter, prepare_text, prepare_thread
+from .textprep import Shared, TokenizedPost, content_filter, prepare_text, prepare_thread
 
 FEATURE_CONFIGS = ("edm15", "pdtb", "eplusp")
 # the configs with the lexical block and those with the discourse block
@@ -146,23 +146,11 @@ def load_affirmations() -> tuple[str, ...]:
     return tuple(phrases)
 
 
-class _Shared(dict):
-    """``shared[key]`` is ``make(key)``, made once; a lookup costs less than an ``lru_cache`` call."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 _UNIGRAM_PREFIX = "uni."
 # one name string per token and one float per count for every profile and space: the
 # profiles are held for the run, and a fresh float for each of their counts raised peak RSS
-_UNIGRAM_NAMES = _Shared(_UNIGRAM_PREFIX.__add__)
-_COUNT_FLOATS = _Shared(float)
+_UNIGRAM_NAMES = Shared(_UNIGRAM_PREFIX.__add__)
+_COUNT_FLOATS = Shared(float)
 
 
 @lru_cache(maxsize=None)

@@ -258,7 +258,7 @@ def _trust_ncg(fun, x0, *, hessp, maxiter, gtol, **_unused):
             if g_norm >= gtol and nit >= maxiter:
                 status = 1
                 break
-    return scipy.optimize.OptimizeResult(x=x, nit=nit, status=status, message=_STOPS[status])
+    return scipy.optimize.OptimizeResult(x=x, jac=g, nit=nit, status=status, message=_STOPS[status])
 
 
 def _optimize_newton(fun, hessp, theta0, max_iterations, tol):
@@ -266,7 +266,7 @@ def _optimize_newton(fun, hessp, theta0, max_iterations, tol):
     # scipy.optimize.minimize method, so each fit is one call there, as it was with scipy's own loop
     options = {"maxiter": max_iterations, "gtol": tol}
     result = scipy.optimize.minimize(fun, theta0, hessp=hessp, method=_trust_ncg, options=options)
-    return result.x, int(result.nit), str(result.message)
+    return result.x, int(result.nit), str(result.message), result.jac
 
 
 def _optimize_lbfgs(fun, _hessp, theta0, max_iterations, tol):
@@ -282,12 +282,12 @@ def _optimize_lbfgs(fun, _hessp, theta0, max_iterations, tol):
             "maxfun": max(10 * max_iterations, 15000),
         },
     )
-    return result.x, int(result.nit), str(result.message)
+    return result.x, int(result.nit), str(result.message), result.jac
 
 
 def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
     """Plain gradient descent with Armijo backtracking; the cross-check optimizer.
-    Like scipy's, it returns the point, its iteration count and why it stopped."""
+    Like the others, it returns the point, its iteration count, why it stopped and the gradient there."""
     theta = theta0.copy()
     loss, grad, _curvature = fun(theta)
     step = 1.0
@@ -302,11 +302,11 @@ def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
                 break
             step *= 0.5
             if step < 1e-18:
-                return theta, it, "line search step fell below 1e-18"
+                return theta, it, "line search step fell below 1e-18", grad
         theta, loss, grad = candidate, new_loss, new_grad
         step = min(step * 2.0, 1e6)
         it += 1
-    return theta, it, "gradient inf-norm within tol" if it < max_iterations else "max_iterations reached"
+    return theta, it, "gradient inf-norm within tol" if it < max_iterations else "max_iterations reached", grad
 
 
 _OPTIMIZERS = {"newton": _optimize_newton, "lbfgs": _optimize_lbfgs, "gd": _optimize_gd}
@@ -326,8 +326,9 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
     cw, sample_weight = _sample_weight(y, config)
     fun, hessp = _objective(X, y, sample_weight, config.l2_lambda)
     theta0 = np.zeros(X.shape[1] + 1)
-    theta, n_iter, reason = _OPTIMIZERS[method](fun, hessp, theta0, config.max_iterations, config.convergence_tol)
-    _loss, final_grad, _curvature = fun(theta)
+    # each optimizer also returns the gradient at its point, the bits fun(theta) would give again
+    optimize = _OPTIMIZERS[method]
+    theta, n_iter, reason, final_grad = optimize(fun, hessp, theta0, config.max_iterations, config.convergence_tol)
     grad_inf = float(np.max(np.abs(final_grad))) if final_grad.size else 0.0
     converged = grad_inf <= config.convergence_tol
     status, cmp = ("converged", "<=") if converged else (f"stopped unconverged ({reason})", ">")

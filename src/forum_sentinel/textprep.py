@@ -11,6 +11,8 @@ places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
 between them: runs of ASCII letters and digits joined by inner apostrophes,
 or single other non-space characters, lowercased except the placeholders.
 The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
+Tokens are shared strings: each distinct raw token is prepared once, so all
+tokens that spell one word are one ``str`` object.
 ``prepare_text`` is the only path from text to tokens, for posts, lexicon
 surfaces and affirmation phrases alike. ``prepare_thread`` prepares each
 post of a thread and caches the result per thread.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -45,6 +48,23 @@ _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 # a maximal run of terminator tokens and, when whitespace follows it, the first character of the next token
 _TERMINATOR_RUN_RE = re.compile(r"[.!?](?:\s*[.!?])*(?:\s+(\S))?")
+
+
+class Shared(dict):
+    """``shared[key]`` is ``make(key)``, made once; a lookup costs less than an ``lru_cache`` call."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# each raw token's prepared form, one string per word for the run: the prepared posts are held
+# for the run, and a fresh string for each of their tokens raised peak RSS
+_TOKENS = Shared(lambda token: token if token in PLACEHOLDERS else sys.intern(token.lower()))
 
 
 @dataclass
@@ -108,7 +128,7 @@ def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
     sentences: list[tuple[int, int]] = []
     start = pos = words = 0
     for end in [m.start(1) for m in _TERMINATOR_RUN_RE.finditer(text) if (m.group(1) or "").isupper()] + [len(text)]:
-        segment = [t if t in PLACEHOLDERS else t.lower() for t in _TOKEN_RE.findall(text, pos, end)]
+        segment = list(map(_TOKENS.__getitem__, _TOKEN_RE.findall(text, pos, end)))
         pos = end
         for tok in segment:  # words since the sentence start, counted up to two
             words += tok[0].isalnum()

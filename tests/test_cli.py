@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from forum_sentinel import cli
 from forum_sentinel.cli import build_parser, load_feature_dump, main
 from forum_sentinel.evaluation import Metrics, macro_average, weighted_macro_average
+from forum_sentinel.features import PDTB_FEATURE_NAMES, STRUCTURAL_NAMES
 from forum_sentinel.model import load_model
 from forum_sentinel.syngen import GenSpec, generate
 
@@ -140,6 +141,25 @@ class TestFeaturizeTrain:
         _space, rows = load_feature_dump(out / "features.tsv")
         assert {course for course, *_ in rows} == {"C1" + odd, "C2" + odd}
         assert main(["train", "--features-file", str(out / "features.tsv"), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "config, names",
+        [("edm15", STRUCTURAL_NAMES), ("pdtb", PDTB_FEATURE_NAMES), ("eplusp", STRUCTURAL_NAMES + PDTB_FEATURE_NAMES)],
+    )
+    def test_no_thread_left_writes_the_header_line_alone(self, config, names, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        dropped = [record(tid="t1", subforum="study_group"), record(tid="t2", posts=[post_obj(0, role="instructor")])]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in dropped), "utf-8")
+        out = tmp_path / "o"
+        assert main(["featurize", "--corpus", str(corpus), "--features", config, "--out", str(out)]) == 0
+        assert (out / "features.tsv").read_bytes() == "\t".join(("#space", config) + names).encode() + b"\n"
+
+    def test_rows_share_one_float_per_value_text(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        path.write_text("#space\tedm15\tn_posts\tn_url\nC1\tt1\tintervened\tn_posts:1.0\n"
+                        "C1\tt2\tnot_intervened\tn_url:1.0\tn_posts:2.0\n", "utf-8")
+        _space, rows = load_feature_dump(path)
+        assert rows[0][2].values["n_posts"] is rows[1][2].values["n_url"]
 
 
 @pytest.mark.parametrize(
@@ -326,6 +346,27 @@ class TestConfigAndErrors:
         monkeypatch.setattr(cli, "cmd_ingest", lookup_fails)
         assert main(["ingest", "--corpus", str(small_corpus)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tag", "featurize", "train", "eval", "syngen"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+    def test_out_in_the_way_of_a_file_exits_2(self, command, under, syn_corpus, tmp_path, capsys):
+        assert main(["featurize", "--corpus", str(syn_corpus), "--features", "pdtb", "--out", str(tmp_path)]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_courses": 1, "threads_per_course": 2, "intervention_ratio": 0.5,
+                                    "vocabulary_disjointness": 0.5, "discourse_signal_strength": 0.5, "seed": 3}))
+        inputs = {
+            "tag": ["--corpus", str(syn_corpus)],
+            "featurize": ["--corpus", str(syn_corpus), "--features", "pdtb"],
+            "train": ["--features-file", str(tmp_path / "features.tsv")],
+            "eval": ["--corpus", str(syn_corpus), "--features", "pdtb", "--k", "2"],
+            "syngen": ["--spec", str(spec)],
+        }
+        out = tmp_path / "afile" / under
+        (tmp_path / "afile").write_text("kept\n")
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} cannot be the output directory: it or a parent is a file\n"
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_malformed_corpus_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

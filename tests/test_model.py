@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import os
@@ -26,6 +27,7 @@ from forum_sentinel.model import (
     MaxentModel,
     ModelFormatError,
     TrainConfig,
+    _OPTIMIZERS,
     _kernel_product,
     _objective,
     _optimize_newton,
@@ -355,7 +357,7 @@ class TestTrustRegionLoop:
              shows="bad approximation")
     def test_path_matches_scipy_trust_ncg(self, seed, n, d, density, scale, start, lam, max_iterations, tol, shows):
         fun, hessp, theta0 = small_problem(seed, n, d, density, scale, start, lam)
-        (x, nit, message), log = traced_newton(fun, hessp, theta0, max_iterations, tol)
+        (x, nit, message, _grad), log = traced_newton(fun, hessp, theta0, max_iterations, tol)
         reference = scipy.optimize.minimize(
             lambda theta: fun(theta)[:2], theta0, jac=True, hessp=lambda theta, v: hessp(fun(theta)[2], v),
             method="trust-ncg", options={"maxiter": max_iterations, "gtol": tol},
@@ -382,6 +384,18 @@ class TestTrustRegionLoop:
         with pytest.raises(InputError, match="^the fit overflowed"):
             scipy.optimize.minimize(fun, np.zeros(2), hessp=lambda c, v: v, method=_trust_ncg,
                                     options={"maxiter": 1, "gtol": 1e-6})
+
+
+@pytest.mark.parametrize("method", ["newton", "lbfgs", "gd"])
+def test_optimizer_returns_the_gradient_at_its_point(method):
+    """train logs and checks the gradient an optimizer returns, so it must be fun's at the returned point."""
+    reasons = set()
+    for seed, scale, max_iterations, tol in itertools.product(range(8), [1.0, 10.0], [1, 3, 500], [1e-6, 1e-300]):
+        fun, hessp, theta0 = small_problem(seed, 12, 4, 0.6, scale, 1.0, 1e-4)
+        theta, _nit, reason, grad = _OPTIMIZERS[method](fun, hessp, theta0, max_iterations, tol)
+        assert grad.tobytes() == fun(theta)[1].tobytes()
+        reasons.add(reason)
+    assert len(reasons) >= 2  # stops other than the iteration cap are covered too
 
 
 class TestTrain:

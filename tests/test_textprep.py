@@ -9,14 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forum_sentinel import textprep
+from forum_sentinel.discourse import load_lexicon
 from forum_sentinel.textprep import (
     PLACEHOLDERS,
     TokenizedPost,
     content_filter,
     load_stopwords,
     prepare_text,
+    prepare_thread,
     replace_nonlexical,
 )
+
+from conftest import make_thread
 
 
 def _fixture_rows(name: str):
@@ -118,6 +122,26 @@ class TestTokenize:
         b = prepare_text(text)
         assert a == b
         assert len(content_filter(a.tokens)) <= len(a.tokens)
+
+
+class TestSharedTokens:
+    """Every token that spells the same word is one string object, wherever it was read."""
+
+    def test_one_object_per_word_in_a_text(self):
+        the = [t for t in prepare_text("The the THE.").tokens if t == "the"]
+        assert len(the) == 3 and all(t is the[0] for t in the)
+
+    def test_threads_share_token_objects(self):
+        (a,), (b,) = (
+            prepare_thread(make_thread(["student"], [text], tid=tid))
+            for tid, text in (("t1", "Lecture notes are late"), ("t2", "The lecture NOTES moved"))
+        )
+        assert a.tokens[0] is b.tokens[1]  # "lecture"
+        assert a.tokens[1] is b.tokens[2]  # "notes"
+
+    def test_lexicon_entry_shares_a_posts_tokens(self):
+        entry = load_lexicon().entries[("however",)]
+        assert prepare_text("We waited. However, it came.").tokens[3] is entry.tokens[0]
 
 
 def _is_equation_run_per_run(run: str) -> bool:
