@@ -133,21 +133,32 @@ def cmd_tag(args) -> int:
     return 0
 
 
+# threads vectorized and written at a time
+_FEATURIZE_BLOCK = 256
+
+
 def cmd_featurize(args) -> int:
     threads = _load_filtered(args.corpus)
     tags = _tags(args)
     # the dump is an in-sample artifact: vocabulary comes from this corpus;
     # the eval subcommand rebuilds fold-local vocabularies itself
     vocabulary = build_vocabulary(threads) if args.features in features.LEXICAL_CONFIGS else None
-    data = vectorize(threads, args.features, vocabulary=vocabulary, tags=tags)
     space = features.build_space(args.features, vocabulary)
     out = _out_dir(args) / "features.tsv"
-    with out.open("w", encoding="utf-8", newline="\n") as dump:  # one row at a time, each ended by LF
-        dump.write("\t".join(("#space", args.features) + space.names) + "\n")
-        for thread, (vec, label) in zip(threads, data):
-            cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
-            cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
-            dump.write("\t".join(cells) + "\n")
+    partial = out.with_name(out.name + ".partial")  # renamed to out once whole, so a failed run leaves out as it was
+    try:
+        with partial.open("w", encoding="utf-8", newline="\n") as dump:  # one row at a time, each ended by LF
+            dump.write("\t".join(("#space", args.features) + space.names) + "\n")
+            for start in range(0, len(threads), _FEATURIZE_BLOCK):
+                block = threads[start : start + _FEATURIZE_BLOCK]
+                # the block's vectors are freed when its loop ends, before the next block is vectorized
+                for thread, (vec, label) in zip(block, vectorize(block, args.features, vocabulary, tags)):
+                    cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
+                    cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
+                    dump.write("\t".join(cells) + "\n")
+        partial.replace(out)
+    finally:
+        partial.unlink(missing_ok=True)
     print(f"wrote {out} ({len(threads)} threads, {len(space)} dims)")
     return 0
 

@@ -4,6 +4,8 @@ Input corpora are line-delimited JSON (one thread per line, schema frozen in
 docs/corpus-format.md). Threads from the noisy sub-forums are removed, threads
 opened by instructional staff are dropped, and the remaining threads are
 truncated at the first staff post, which also determines the label.
+Every id (course, thread, post, author, parent) is an interned string, one
+``str`` per distinct value for the run, and posts are slotted.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -86,7 +89,7 @@ class Label(str, Enum):
     NOT_INTERVENED = "not_intervened"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     post_id: str
     author_id: str
@@ -173,13 +176,14 @@ _BAD_ID_CHARS = re.compile("[\t\r\n\ud800-\udfff]")
 
 
 def _string(obj: dict, key: str) -> str:
-    """The JSON string under ``key``; an id (a key ending in ``_id``) holds no tab, CR, LF or lone surrogate."""
+    """The JSON string under ``key``; an id (a key ending in ``_id``) holds no tab, CR, LF or lone surrogate,
+    and is interned: the parsed threads are held for the run, so each id value is one string."""
     value = obj.get(key)
     if not isinstance(value, str):
         raise ValueError(f"{key} is not a string" if key in obj else f"missing {key!r}")
     if key.endswith("_id") and _BAD_ID_CHARS.search(value):
         raise ValueError(f"{key} {value!r} holds a tab, CR, LF or lone surrogate")
-    return value
+    return sys.intern(value) if key.endswith("_id") else value
 
 
 def _parse_post(obj: dict) -> Post:

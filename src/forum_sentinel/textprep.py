@@ -11,8 +11,12 @@ places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
 between them: runs of ASCII letters and digits joined by inner apostrophes,
 or single other non-space characters, lowercased except the placeholders.
 The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
-Tokens are shared strings: each distinct raw token is prepared once, so all
-tokens that spell one word are one ``str`` object.
+Prepared posts share their values: each distinct raw token is prepared once,
+so all tokens that spell one word are one ``str`` object, and equal
+``(start, end)`` sentence bounds, equal bound sequences and equal replacement
+counts are each one object for the run. ``replaced_counts`` is a read-only
+mapping, so a write to it raises ``TypeError`` instead of reaching every post
+that shares it.
 ``prepare_text`` is the only path from text to tokens, for posts, lexicon
 surfaces and affirmation phrases alike. ``prepare_thread`` prepares each
 post of a thread and caches the result per thread.
@@ -23,9 +27,11 @@ from __future__ import annotations
 import re
 import string
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .corpus import Thread
 
@@ -65,14 +71,18 @@ class Shared(dict):
 # each raw token's prepared form, one string per word for the run: the prepared posts are held
 # for the run, and a fresh string for each of their tokens raised peak RSS
 _TOKENS = Shared(lambda token: token if token in PLACEHOLDERS else sys.intern(token.lower()))
+# likewise one sentence bound pair and one bound sequence per distinct value (a pair never equals a sequence)
+_BOUNDS = Shared(lambda bounds: bounds)
+# one read-only counts mapping per distinct (EQU, URL, TIMEREF) triple
+_COUNTS = Shared(lambda counts: MappingProxyType(dict(zip(PLACEHOLDERS, counts))))
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenizedPost:
     tokens: tuple[str, ...]
     # half-open [start, end) token-index ranges partitioning the token stream
     sentences: tuple[tuple[int, int], ...]
-    replaced_counts: dict[str, int] = field(default_factory=dict)
+    replaced_counts: Mapping[str, int] = field(default_factory=lambda: _COUNTS[0, 0, 0])
 
     @property
     def n_tokens(self) -> int:
@@ -107,7 +117,7 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     EQU runs) so counts are reproducible. Returns the rewritten text and the
     number of replacements per placeholder.
     """
-    counts = {"EQU": 0, "URL": 0, "TIMEREF": 0}
+    counts = dict.fromkeys(PLACEHOLDERS, 0)  # in PLACEHOLDERS order, the order of the _COUNTS key
     for pattern, token in _PASS_PLACEHOLDERS.items():
         lowered = text.lower()
         if any(literal in lowered for literal in _PASS_LITERALS[pattern]):
@@ -136,9 +146,9 @@ def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
                 break
         tokens += segment
         if words == 2 or (end == len(text) and start < len(tokens)):
-            sentences.append((start, len(tokens)))
+            sentences.append(_BOUNDS[start, len(tokens)])
             start, words = len(tokens), 0
-    return tuple(tokens), tuple(sentences)
+    return tuple(tokens), _BOUNDS[tuple(sentences)]
 
 
 def prepare_text(text: str) -> TokenizedPost:
@@ -150,7 +160,7 @@ def prepare_text(text: str) -> TokenizedPost:
     interjections ("Hi!!") fold into the sentence that follows them.
     """
     replaced, counts = replace_nonlexical(text)
-    return TokenizedPost(*_split(replaced), counts)
+    return TokenizedPost(*_split(replaced), _COUNTS[tuple(counts.values())])
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from forum_sentinel import cli
 from forum_sentinel.cli import build_parser, load_feature_dump, main
+from forum_sentinel.corpus import filter_and_label, load_corpus
+from forum_sentinel.discourse import load_lexicon
 from forum_sentinel.evaluation import Metrics, macro_average, weighted_macro_average
-from forum_sentinel.features import PDTB_FEATURE_NAMES, STRUCTURAL_NAMES
+from forum_sentinel.features import PDTB_FEATURE_NAMES, STRUCTURAL_NAMES, build_space, build_vocabulary, vectorize
 from forum_sentinel.model import load_model
 from forum_sentinel.syngen import GenSpec, generate
 
@@ -153,6 +155,31 @@ class TestFeaturizeTrain:
         out = tmp_path / "o"
         assert main(["featurize", "--corpus", str(corpus), "--features", config, "--out", str(out)]) == 0
         assert (out / "features.tsv").read_bytes() == "\t".join(("#space", config) + names).encode() + b"\n"
+
+    def test_blocks_write_the_rows_of_one_vectorize_call(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        generate(GenSpec(n_courses=3, threads_per_course=100, intervention_ratio=0.25,
+                         vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=7), corpus)
+        threads = filter_and_label(load_corpus(corpus).threads)
+        assert cli._FEATURIZE_BLOCK < len(threads) < 2 * cli._FEATURIZE_BLOCK
+        vocabulary = build_vocabulary(threads)
+        lines = ["\t".join(("#space", "eplusp") + build_space("eplusp", vocabulary).names)]
+        for thread, (vec, label) in zip(threads, vectorize(threads, "eplusp", vocabulary, load_lexicon())):
+            cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
+            lines.append("\t".join(cells + [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]))
+        assert main(["featurize", "--corpus", str(corpus), "--features", "eplusp", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "features.tsv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_a_failed_featurize_leaves_the_old_dump(self, small_corpus, tmp_path, capsys):
+        (tmp_path / "tags.tsv").write_text("C1\tpos0\tp0\t0:99:Temporal\n", "utf-8")  # a span past the post's end
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "features.tsv").write_text("old", "utf-8")
+        argv = ["featurize", "--corpus", str(small_corpus), "--features", "pdtb", "--tags", str(tmp_path / "tags.tsv"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert [path.name for path in out.iterdir()] == ["features.tsv"]
+        assert (out / "features.tsv").read_text("utf-8") == "old"
 
     def test_rows_share_one_float_per_value_text(self, tmp_path):
         path = tmp_path / "features.tsv"

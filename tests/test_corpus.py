@@ -124,6 +124,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2: parent_post_id "):
             load_corpus(corpus_file([record(), record(tid="t2", posts=posts)]))
 
+    def test_a_load_holds_one_string_per_id_value(self, corpus_file):
+        posts = [post_obj(0), {**post_obj(1, parent="p0"), "author_id": "u0"}]
+        threads = load_corpus(corpus_file([record(tid="t1", posts=posts), record(tid="t2", posts=posts)])).threads
+        ids = [thread.course_id for thread in threads] + [thread.thread_id for thread in threads]
+        for thread in threads:
+            first, comment = thread.posts
+            ids += [first.post_id, first.author_id, comment.post_id, comment.author_id, comment.parent_post_id]
+        assert len({id(value) for value in ids}) == len(set(ids)) == 6  # C1, t1, t2, p0, p1, u0
+
+    def test_posts_have_no_instance_dict(self, corpus_file):
+        post = load_corpus(corpus_file([record()])).threads[0].posts[0]
+        assert not hasattr(post, "__dict__")
+
     def test_stable_order_across_loads(self, corpus_file):
         path = corpus_file([record(tid=f"t{i}") for i in range(5)])
         a = load_corpus(path).threads

@@ -144,6 +144,35 @@ class TestSharedTokens:
         assert prepare_text("We waited. However, it came.").tokens[3] is entry.tokens[0]
 
 
+class TestSharedPostValues:
+    """Equal sentence bounds and equal replacement counts are one object for every post that holds them."""
+
+    def test_equal_bounds_share_one_tuple_and_equal_pairs_one_pair(self):
+        a = prepare_text("One two three. Four five six")
+        b = prepare_text("Uno dos tres. Cuatro cinco seis")
+        c = prepare_text("Seven eight nine. Ten")
+        assert a.sentences == b.sentences == ((0, 4), (4, 7))
+        assert a.sentences is b.sentences
+        assert c.sentences == ((0, 4), (4, 5)) and c.sentences[0] is a.sentences[0]
+
+    def test_equal_counts_share_one_read_only_mapping(self):
+        a = prepare_text("see https://x.y at 10:30")
+        b = prepare_text("at 9:15 read www.example.org")
+        assert a.replaced_counts == {"EQU": 0, "URL": 1, "TIMEREF": 1}
+        assert a.replaced_counts is b.replaced_counts
+        with pytest.raises(TypeError):
+            a.replaced_counts["URL"] = 2
+        assert b.replaced_counts["URL"] == 1
+
+    def test_a_hand_built_post_counts_nothing_through_the_shared_mapping(self):
+        tok = TokenizedPost(tokens=("hi",), sentences=((0, 1),))
+        assert tok.replaced_counts == {"EQU": 0, "URL": 0, "TIMEREF": 0}
+        assert tok.replaced_counts is prepare_text("plain words here").replaced_counts
+
+    def test_prepared_posts_have_no_instance_dict(self):
+        assert not hasattr(prepare_text("One two."), "__dict__")
+
+
 def _is_equation_run_per_run(run: str) -> bool:
     """The equation test as it ran on every whitespace run, before the candidate pattern."""
     if run in PLACEHOLDERS:
