@@ -152,7 +152,7 @@ def cmd_featurize(args) -> int:
             for start in range(0, len(threads), _FEATURIZE_BLOCK):
                 block = threads[start : start + _FEATURIZE_BLOCK]
                 # the block's vectors are freed when its loop ends, before the next block is vectorized
-                for thread, (vec, label) in zip(block, vectorize(block, args.features, vocabulary, tags)):
+                for thread, (vec, label) in zip(block, vectorize(block, space, tags)):
                     cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
                     cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
                     dump.write("\t".join(cells) + "\n")
@@ -172,7 +172,6 @@ def load_feature_dump(path: str | Path):
     space = None
     shared = Shared(str)  # one string per feature and one float per value text across all rows
     floats = Shared(float)
-    seen: set[tuple[str, str]] = set()
 
     def parse(line: str):
         nonlocal space
@@ -186,9 +185,6 @@ def load_feature_dump(path: str | Path):
         course_id, thread_id, label, *cells = line.split("\t")
         if label not in ("intervened", "not_intervened"):
             raise ValueError(f"bad label {label!r}")
-        if (course_id, thread_id) in seen:
-            raise ValueError(f"duplicate row for thread_id {thread_id!r} in course {course_id!r}")
-        seen.add((course_id, thread_id))
         values = {}
         for cell in cells:
             name, _, value = cell.rpartition(":")
@@ -198,7 +194,10 @@ def load_feature_dump(path: str | Path):
             raise ValueError(f"duplicate feature {next(n for n in names if names.count(n) > 1)!r} in the row")
         return course_id, thread_id, FeatureVector(values, space), int(label == "intervened")
 
-    rows = [row for row in parse_lines(path, "feature dump", parse, FeatureDumpError) if row is not None]
+    def key(row) -> str | None:
+        return None if row is None else f"row for thread_id {row[1]!r} in course {row[0]!r}"
+
+    rows = [row for row in parse_lines(path, "feature dump", parse, key, FeatureDumpError) if row is not None]
     if space is None:
         raise FeatureDumpError("feature dump missing #space header")
     return space, rows

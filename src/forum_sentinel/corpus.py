@@ -33,13 +33,17 @@ class CorpusFormatError(InputError):
     """Raised when an input corpus file violates the frozen record schema."""
 
 
-def parse_lines(path, kind: str, parse: Callable[[str], _T], error: type[InputError], comments=False) -> Iterator[_T]:
+def parse_lines(path, kind: str, parse: Callable[[str], _T], key: Callable[[_T], str | None], error: type[InputError],
+                comments=False) -> Iterator[_T]:
     """Stream ``parse(line)`` over the lines of a UTF-8 file (a path, or a package resource).
 
     Lines end in LF or CRLF; blank lines, and ``#`` lines when ``comments`` is
-    set, are skipped. A ValueError from decoding or from ``parse`` is raised
-    as ``error("<kind> line N: <reason>")``.
+    set, are skipped. ``key(item)`` names the record a line holds, or is None if
+    it holds none. A ValueError from decoding or from ``parse``, or a name seen
+    before, is raised as ``error("<kind> line N: <reason>")``, the last with
+    reason ``duplicate <name>``.
     """
+    seen: set[str] = set()
     with (Path(path) if isinstance(path, str) else path).open("rb") as fh:
         for n, raw in enumerate(fh, start=1):
             try:
@@ -47,6 +51,10 @@ def parse_lines(path, kind: str, parse: Callable[[str], _T], error: type[InputEr
                 if not line.strip() or comments and line.lstrip().startswith("#"):
                     continue
                 item = parse(line)
+                if (name := key(item)) in seen:
+                    raise ValueError(f"duplicate {name}")
+                if name is not None:
+                    seen.add(name)
             except ValueError as exc:
                 raise error(f"{kind} line {n}: {exc}") from None
             yield item
@@ -237,18 +245,11 @@ def load_corpus(path: str | Path) -> LoadResult:
     repeated loads are stable. Threads with out-of-order timestamps are
     re-sorted and counted in the result metadata.
     """
-    seen: set[tuple[str, str]] = set()
-
-    def parse(line: str) -> tuple[Thread, bool]:
-        thread, was_resorted = _parse_record(line)
-        key = (thread.course_id, thread.thread_id)
-        if key in seen:
-            raise ValueError(f"duplicate thread_id {thread.thread_id!r} in course {thread.course_id!r}")
-        seen.add(key)
-        return thread, was_resorted
+    def key(parsed: tuple[Thread, bool]) -> str:
+        return f"thread_id {parsed[0].thread_id!r} in course {parsed[0].course_id!r}"
 
     threads, resorted = [], 0
-    for thread, was_resorted in parse_lines(path, "corpus", parse, CorpusFormatError):
+    for thread, was_resorted in parse_lines(path, "corpus", _parse_record, key, CorpusFormatError):
         threads.append(thread)
         resorted += was_resorted
     if resorted:
@@ -286,17 +287,8 @@ def filter_and_label(raw: list[Thread]) -> list[Thread]:
 
 def corpus_stats(threads: list[Thread]) -> list[CourseStats]:
     """Per-course intervened / non-intervened counts, sorted by course id."""
-    counts: dict[str, list[int]] = {}
-    for thread in threads:
-        row = counts.setdefault(thread.course_id, [0, 0])
-        if thread.label is Label.INTERVENED:
-            row[0] += 1
-        else:
-            row[1] += 1
-    return [
-        CourseStats(course_id=cid, n_intervened=i, n_not_intervened=n)
-        for cid, (i, n) in sorted(counts.items())
-    ]
+    flags = {cid: [t.label is Label.INTERVENED for t in course] for cid, course in by_course(threads).items()}
+    return [CourseStats(cid, sum(intervened), len(intervened) - sum(intervened)) for cid, intervened in flags.items()]
 
 
 def by_course(threads: list[Thread]) -> dict[str, list[Thread]]:

@@ -121,17 +121,10 @@ def _parse_lexicon_line(line: str) -> LexiconEntry:
 
 def load_lexicon(path: str | Path | None = None) -> ConnectiveLexicon:
     """Load a connective lexicon; None loads the shipped default."""
-    seen: set[tuple[str, ...]] = set()
-
-    def parse(line: str) -> LexiconEntry:
-        entry = _parse_lexicon_line(line)
-        if entry.tokens in seen:
-            raise ValueError(f"duplicate surface {entry.surface!r}")
-        seen.add(entry.tokens)
-        return entry
-
     source = resources.files("forum_sentinel.data") / "connectives.tsv" if path is None else path
-    return ConnectiveLexicon(list(parse_lines(source, "lexicon", parse, LexiconError, comments=True)))
+    entries = parse_lines(source, "lexicon", _parse_lexicon_line, lambda entry: f"surface {entry.surface!r}",
+                          LexiconError, comments=True)
+    return ConnectiveLexicon(list(entries))
 
 
 def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
@@ -221,17 +214,11 @@ def _parse_triple(cell: str) -> tuple[int, int, SenseTag]:
 
 def load_tag_import(path: str | Path) -> TagImport:
     """Read a tag-import file: course, thread, post ids then start:end:Sense triples."""
-    seen: set[tuple[str, str, str]] = set()
-
     def parse(line: str):
         course_id, thread_id, post_id, *cells = line.split("\t")
-        key = (course_id, thread_id, post_id)
-        if key in seen:
-            raise ValueError(f"duplicate post record {key}")
-        seen.add(key)
-        return key, tuple(_parse_triple(cell) for cell in cells if cell)
+        return (course_id, thread_id, post_id), tuple(_parse_triple(cell) for cell in cells if cell)
 
-    return dict(parse_lines(path, "tag import", parse, LexiconError))
+    return dict(parse_lines(path, "tag import", parse, lambda record: f"post record {record[0]}", LexiconError))
 
 
 def format_tag_records(thread: Thread, taggings: list[PostDiscourse]) -> list[str]:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .corpus import InputError, Label, Thread, by_course
 from .discourse import ConnectiveLexicon, TagImport
-from .features import LEXICAL_CONFIGS, build_vocabulary, vectorize
+from .features import LEXICAL_CONFIGS, build_space, build_vocabulary, vectorize
 from .model import TrainConfig, predict, train as train_model
 
 logger = logging.getLogger(__name__)
@@ -157,12 +157,12 @@ def _fit_and_score(
     get the training class, or not-intervened when the split is empty. The log
     line names the ``fold``: (course id, split number, split count)."""
     vocabulary = build_vocabulary(train_threads) if feature_config in LEXICAL_CONFIGS else None
-    kwargs = dict(vocabulary=vocabulary, tags=tags)
-    train_data = vectorize(train_threads, feature_config, **kwargs)
+    space = build_space(feature_config, vocabulary)
+    train_data = vectorize(train_threads, space, tags)
     classes = {label for _vec, label in train_data}
     degenerate = len(classes) < 2
     fitted = None if degenerate else train_model(train_data, train_config)
-    test_data = vectorize(test_threads, feature_config, **kwargs)
+    test_data = vectorize(test_threads, space, tags)
     fallback = max(classes, default=0)
     pairs = [(label, fallback if degenerate else predict(fitted, vec)) for vec, label in test_data]
     size = vocabulary.size if vocabulary else 0

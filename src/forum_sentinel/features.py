@@ -6,16 +6,17 @@ discourse block derived from tagged connective senses, and ``eplusp`` is the
 union of the two blocks. All vectors are sparse maps from stable feature
 names to finite values.
 
-Cross-course evaluation vectorizes every thread once per fold, but a thread's
-lexical block depends on the fold only through the vocabulary. Beside the
-cached ``textprep.prepare_thread`` tokens, ``_lexical_profile`` therefore
-caches each thread's structural values and its content-filtered unigram
-counts once, the counts already as a row block keyed by ``uni.<token>`` name.
-``build_vocabulary`` reads the block's names; a row whose names all lie in
-the fold's space, as every training row's do, copies the block, and any other
-row keeps the names in the space. The cached values are shared and never mutated.
-A lexicon remembers each thread it tagged (see ``discourse``), so each
-thread is matched only once.
+``vectorize`` builds rows over the ``FeatureSpace`` its caller made with
+``build_space``: an evaluation fold builds one, and its training and test rows
+share it. A thread's lexical block depends on the fold only through the
+vocabulary, so beside the cached ``textprep.prepare_thread`` tokens,
+``_lexical_profile`` caches each thread's structural values and its
+content-filtered unigram counts once, the counts already as a row block keyed
+by ``uni.<token>`` name. ``build_vocabulary`` reads the block's names; a row
+whose names all lie in the fold's space, as every training row's do, copies
+the block, and any other row keeps the names in the space. The cached values
+are shared and never mutated. A lexicon remembers each thread it tagged (see
+``discourse``), so each thread is matched only once.
 
 The 25 discourse feature names, in frozen order: ``pdtb.total``; then for
 each sense (temporal, contingency, comparison, expansion) the pair
@@ -83,7 +84,7 @@ class FeatureSpace:
             raise ValueError("feature names must be unique")
         self.names = names
         self.config = config
-        self._index = {name: i for i, name in enumerate(names)}
+        self.index = {name: i for i, name in enumerate(names)}  # name -> column
         digest = hashlib.sha256(("\n".join((config,) + names)).encode("utf-8")).hexdigest()
         self.provenance = f"{config}:{digest[:16]}"
 
@@ -91,10 +92,7 @@ class FeatureSpace:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def index(self, name: str) -> int:
-        return self._index[name]
+        return name in self.index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FeatureSpace) and self.provenance == other.provenance
@@ -111,7 +109,7 @@ class FeatureVector:
     space: FeatureSpace
 
     def __post_init__(self):
-        if self.values.keys() <= self.space._index.keys() and all(map(math.isfinite, self.values.values())):
+        if self.values.keys() <= self.space.index.keys() and all(map(math.isfinite, self.values.values())):
             return
         for name, value in self.values.items():  # name the first offending feature
             if name not in self.space:
@@ -257,18 +255,13 @@ def _has_affirmation(thread: Thread, tokenized: tuple[TokenizedPost, ...]) -> bo
     return False
 
 
-def vectorize(
-    threads: list[Thread],
-    config: str,
-    vocabulary: Vocabulary | None = None,
-    tags: ConnectiveLexicon | TagImport | None = None,
-) -> list[tuple[FeatureVector, int]]:
-    """Turn labeled threads into (FeatureVector, label) pairs; label 1 = intervened.
-    A config with the discourse block tags each thread from ``tags``, a lexicon or an import table."""
-    space = build_space(config, vocabulary)
-    needs_lexical = config in LEXICAL_CONFIGS
-    needs_discourse = config in DISCOURSE_CONFIGS
-    in_space = space._index.keys()
+def vectorize(threads: list[Thread], space: FeatureSpace,
+              tags: ConnectiveLexicon | TagImport | None = None) -> list[tuple[FeatureVector, int]]:
+    """Turn labeled threads into (FeatureVector, label) pairs over ``space``; label 1 = intervened. A space
+    with the discourse block tags each thread from ``tags``, a lexicon or an import table."""
+    needs_lexical = space.config in LEXICAL_CONFIGS
+    needs_discourse = space.config in DISCOURSE_CONFIGS
+    in_space = space.index.keys()
 
     out: list[tuple[FeatureVector, int]] = []
     for thread in threads:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,9 @@ from .features import FeatureSpace, FeatureVector
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_HEADER = "forum-sentinel-model 1"
+# the number forms save_model writes, str of an int and %.17g of a float: int() also reads "_", "+", spaces
+# and other scripts' digits, and \d matches those digits, so [0-9]
+_WRITTEN = {int: re.compile(r"-?[0-9]+"), float: re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")}
 
 
 class ModelFormatError(InputError):
@@ -96,7 +100,7 @@ def _to_arrays(dataset: Dataset, space: FeatureSpace) -> tuple[sp.csr_matrix, np
     indptr = np.cumsum([0] + [len(vec.values) for vec, _label in dataset])
     names = itertools.chain.from_iterable([vec.values for vec, _label in dataset])
     values = itertools.chain.from_iterable([vec.values.values() for vec, _label in dataset])
-    indices = np.fromiter(map(space._index.__getitem__, names), np.int64, indptr[-1])
+    indices = np.fromiter(map(space.index.__getitem__, names), np.int64, indptr[-1])
     data = np.fromiter(values, float, indptr[-1])
     X = sp.csr_matrix((data, indices, indptr), shape=(len(dataset), len(space)))
     X.sum_duplicates()  # sorts each row by column, so dict order cannot move the bits
@@ -412,10 +416,12 @@ def load_model(path: str | Path) -> MaxentModel:
             raise ValueError(f"expected a {tag!r} line of {count} cells")
         return parts[1:]
 
-    def finite(text: str, what: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
+    def number(text: str, what: str, kind: type = float):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
             raise ValueError(f"{what} is {text}, not finite")
+        if not _WRITTEN[kind].fullmatch(text):
+            raise ValueError(f"{what} is {text!r}, not a number in the form the model writer uses")
         return value
 
     def settings(tag: str, count: int) -> dict[str, str]:
@@ -426,26 +432,27 @@ def load_model(path: str | Path) -> MaxentModel:
 
     try:
         cfg_kv = settings("config", len(fields(TrainConfig)) + 1)
-        config = TrainConfig(**{f.name: type(f.default)(cfg_kv[f.name]) for f in fields(TrainConfig)})
+        config = TrainConfig(**{f.name: cfg_kv[f.name] if isinstance(f.default, str) else
+                                number(cfg_kv[f.name], f.name, type(f.default)) for f in fields(TrainConfig)})
         if cfg_kv["standardize"] != "0":
             raise ValueError(f"unsupported standardize={cfg_kv['standardize']}")
         fit_kv = settings("fit", 3)
         if fit_kv["converged"] not in ("0", "1"):
             raise ValueError(f"converged={fit_kv['converged']} is not 0 or 1")
-        class_weight_value = finite(fit_kv["class_weight"], "class_weight")
+        class_weight_value = number(fit_kv["class_weight"], "class_weight")
         if class_weight_value <= 0:
             raise ValueError(f"class_weight={fit_kv['class_weight']} is not positive")
-        n_iterations = int(fit_kv["n_iterations"])
+        n_iterations = number(fit_kv["n_iterations"], "n_iterations", int)
         if not 0 <= n_iterations <= config.max_iterations:
             raise ValueError(f"n_iterations={n_iterations} is not within 0..max_iterations={config.max_iterations}")
         space_config, provenance, ndims = cells("space", 3)
         weights: dict[str, float] = {}
-        for _ in range(int(ndims)):
+        for _ in range(number(ndims, "the dimension count", int)):
             name, value = cells("w", 2)
             if name in weights:
                 raise ValueError(f"duplicate weight line for {name!r}")
-            weights[name] = finite(value, f"weight of {name!r}")
-        bias = finite(cells("bias", 1)[0], "bias")
+            weights[name] = number(value, f"weight of {name!r}")
+        bias = number(cells("bias", 1)[0], "bias")
         cells("end", 0)
     except (KeyError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc

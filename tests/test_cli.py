@@ -162,9 +162,9 @@ class TestFeaturizeTrain:
                          vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=7), corpus)
         threads = filter_and_label(load_corpus(corpus).threads)
         assert cli._FEATURIZE_BLOCK < len(threads) < 2 * cli._FEATURIZE_BLOCK
-        vocabulary = build_vocabulary(threads)
-        lines = ["\t".join(("#space", "eplusp") + build_space("eplusp", vocabulary).names)]
-        for thread, (vec, label) in zip(threads, vectorize(threads, "eplusp", vocabulary, load_lexicon())):
+        space = build_space("eplusp", build_vocabulary(threads))
+        lines = ["\t".join(("#space", "eplusp") + space.names)]
+        for thread, (vec, label) in zip(threads, vectorize(threads, space, load_lexicon())):
             cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
             lines.append("\t".join(cells + [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]))
         assert main(["featurize", "--corpus", str(corpus), "--features", "eplusp", "--out", str(tmp_path)]) == 0

@@ -5,15 +5,17 @@ from datetime import datetime
 
 import pytest
 
-from forum_sentinel.cli import main
+from forum_sentinel.cli import load_feature_dump, main
 from forum_sentinel.corpus import (
     CorpusFormatError,
+    InputError,
     Label,
     SubForumType,
     corpus_stats,
     filter_and_label,
     load_corpus,
 )
+from forum_sentinel.discourse import load_lexicon, load_tag_import
 from forum_sentinel.features import prepare_thread
 from forum_sentinel.syngen import GenSpec, generate_threads
 
@@ -251,3 +253,25 @@ def test_thread_hash_is_by_ids_and_equality_by_content():
     assert prepare_thread(a) is prepare_thread(b)
     assert prepare_thread(other)[0].tokens == ("delta", "epsilon", "zeta")
     assert prepare_thread(a)[0].tokens == ("alpha", "beta", "gamma")
+
+
+_REPEATS = {  # a reader, the file it reads, and the full message of the repeat
+    "corpus": (load_corpus, "".join(json.dumps(r) + "\n" for r in [record(), record(tid="t2"), record()]),
+               "corpus line 3: duplicate thread_id 't1' in course 'C1'"),
+    "lexicon": (load_lexicon, "# surfaces read as tokens\ne.g.\t0.9\t0\t0\t0\t1\nE. g.\t0.9\t0\t0\t0\t1\n",
+                "lexicon line 3: duplicate surface 'e . g .'"),
+    "tag-import": (load_tag_import, "C1\tt1\tp0\t0:1:Temporal\nC1\tt1\tp1\n\nC1\tt1\tp0\n",
+                   "tag import line 4: duplicate post record ('C1', 't1', 'p0')"),
+    "feature-dump": (load_feature_dump,
+                     "#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1.0\nC1\tt1\tnot_intervened\n",
+                     "feature dump line 3: duplicate row for thread_id 't1' in course 'C1'"),
+}
+
+
+@pytest.mark.parametrize("reader, text, message", _REPEATS.values(), ids=_REPEATS)
+def test_each_reader_names_the_line_of_a_repeated_record(reader, text, message, tmp_path):
+    path = tmp_path / "input"
+    path.write_text(text, "utf-8")
+    with pytest.raises(InputError) as exc:
+        reader(path)
+    assert str(exc.value) == message

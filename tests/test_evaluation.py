@@ -332,3 +332,29 @@ def test_empty_training_split_is_scored_not_fatal(config, tmp_path, caplog, caps
     argv = ["eval", "--corpus", str(corpus), "--features", config, "--regime", "in-domain",
             "--emit", "records", "--out", str(tmp_path / "o")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("config", ["edm15", "pdtb", "eplusp"])
+@pytest.mark.parametrize("regime", ["in-domain", "ccv"])
+def test_a_split_builds_one_space_for_its_training_and_test_rows(config, regime, monkeypatch):
+    splits = []  # per fitted split: the spaces of its training rows and of its scored test rows
+
+    def train_model(data, train_config):
+        splits.append(([vec.space for vec, _label in data], []))
+        return real_train(data, train_config)
+
+    def predict(model, vec):
+        splits[-1][1].append(vec.space)
+        return real_predict(model, vec)
+
+    real_train, real_predict = evaluation.train_model, evaluation.predict
+    monkeypatch.setattr(evaluation, "train_model", train_model)
+    monkeypatch.setattr(evaluation, "predict", predict)
+    if regime == "ccv":
+        report = run_loo_ccv(_syn_threads(), config, load_lexicon(), TrainConfig())
+    else:
+        report = run_in_domain(_syn_threads(), config, load_lexicon(), TrainConfig(), k=3)
+    assert len(splits) == sum(len(c.vocabulary_sizes) for c in report.per_course)  # every split was fit
+    for train_spaces, test_spaces in splits:
+        assert test_spaces
+        assert all(space is train_spaces[0] for space in train_spaces + test_spaces)

@@ -109,13 +109,13 @@ class TestPdtbFeatures:
         lex = load_lexicon()
         t1 = make_thread(["student"], texts=["But if alpha is beta then gamma happens"])
         t2 = make_thread(["student"], texts=["But if delta is omega then sigma happens"])
-        v1, v2 = (vectorize([t], "pdtb", tags=lex)[0][0] for t in (t1, t2))
+        v1, v2 = (vectorize([t], build_space("pdtb"), lex)[0][0] for t in (t1, t2))
         assert v1.values == v2.values
 
 
 class TestEdm15Features:
-    def _vocab(self, *threads):
-        return build_vocabulary(list(threads))
+    def _space(self, *threads):
+        return build_space("edm15", build_vocabulary(list(threads)))
 
     def test_counts_example(self):
         thread = make_thread(
@@ -123,7 +123,7 @@ class TestEdm15Features:
             parents=[None, "p0", "p0", None, "p0"],
             texts=["alpha beta"] * 5,
         )
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("n_posts") == 2
         assert vec.get("n_comments") == 3
         assert vec.get("n_posts_plus_comments") == 5
@@ -131,18 +131,18 @@ class TestEdm15Features:
 
     def test_forum_one_hot_order(self):
         thread = make_thread(["student"], subforum="lecture")
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         onehot = [vec.get(n) for n in STRUCTURAL_NAMES[:4]]
         assert onehot == [0.0, 0.0, 1.0, 0.0]
 
     def test_affirmation_in_later_student_post(self):
         thread = make_thread(["student", "student"], texts=["why is this", "thanks a lot"])
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("affirmation") == 1.0
 
     def test_affirmation_ignores_first_post(self):
         thread = make_thread(["student", "student"], texts=["thanks a lot", "why is this"])
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("affirmation") == 0.0
 
     @pytest.mark.parametrize(
@@ -152,12 +152,12 @@ class TestEdm15Features:
     )
     def test_affirmation_matches_whole_tokens(self, reply, expected):
         thread = make_thread(["student", "student"], texts=["why is this", reply])
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("affirmation") == expected
 
     def test_multiword_affirmation(self):
         thread = make_thread(["student", "student"], texts=["hmm", "ok you're right about it"])
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("affirmation") == 1.0
 
     def test_url_timeref_and_sentence_counts(self):
@@ -165,14 +165,14 @@ class TestEdm15Features:
             ["student", "student"],
             texts=["see https://a.b/c now. Look here.", "at 10:30 and 11:45 it breaks"],
         )
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("n_url") == 1
         assert vec.get("n_timeref") == 2
         assert vec.get("n_sentences") == 3
 
     def test_unigram_counts_use_filtered_tokens(self):
         thread = make_thread(["student"], texts=["the gradient gradient converges"])
-        vec = vectorize([thread], "edm15", vocabulary=self._vocab(thread))[0][0]
+        vec = vectorize([thread], self._space(thread))[0][0]
         assert vec.get("uni.gradient") == 2.0
         assert vec.get("uni.converges") == 1.0
         assert "uni.the" not in vec.space
@@ -194,7 +194,7 @@ class TestVocabulary:
         train = make_thread(["student"], texts=["alpha beta"], tid="a")
         test = make_thread(["student"], texts=["alpha newword"], tid="b")
         vocab = build_vocabulary([train])
-        vec = vectorize([test], "edm15", vocabulary=vocab)[0][0]
+        vec = vectorize([test], build_space("edm15", vocab))[0][0]
         assert vec.get("uni.alpha") == 1.0
         assert "uni.newword" not in vec.space
         assert all(not name.endswith("newword") for name in vec.values)
@@ -210,7 +210,7 @@ class TestVectorize:
         return [pos, neg]
 
     def test_pdtb_vectors_have_25_dims(self):
-        data = vectorize(self._threads(), "pdtb", tags=load_lexicon())
+        data = vectorize(self._threads(), build_space("pdtb"), load_lexicon())
         for vec, _label in data:
             assert len(vec.space) == 25
 
@@ -218,8 +218,8 @@ class TestVectorize:
         threads = self._threads()
         vocab = build_vocabulary(threads)
         lex = load_lexicon()
-        d_ep = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
-        d_e = vectorize(threads, "edm15", vocabulary=vocab)
+        d_ep = vectorize(threads, build_space("eplusp", vocab), lex)
+        d_e = vectorize(threads, build_space("edm15", vocab))
         assert len(d_ep[0][0].space) == len(d_e[0][0].space) + 25
         # the shared block is an exact copy
         for (vep, _), (ve, _) in zip(d_ep, d_e):
@@ -230,24 +230,24 @@ class TestVectorize:
         threads = self._threads()
         vocab = build_vocabulary(threads)
         lex = load_lexicon()
-        a = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
-        b = vectorize(threads, "eplusp", vocabulary=vocab, tags=lex)
+        a = vectorize(threads, build_space("eplusp", vocab), lex)
+        b = vectorize(threads, build_space("eplusp", vocab), lex)
         assert [(v.values, y) for v, y in a] == [(v.values, y) for v, y in b]
 
     def test_labels(self):
-        data = vectorize(self._threads(), "pdtb", tags=load_lexicon())
+        data = vectorize(self._threads(), build_space("pdtb"), load_lexicon())
         assert [y for _v, y in data] == [1, 0]
 
     def test_missing_resources_error(self):
         with pytest.raises(ValueError, match="vocabulary"):
-            vectorize(self._threads(), "edm15")
+            build_space("edm15")
         with pytest.raises(ValueError, match="lexicon"):
-            vectorize(self._threads(), "pdtb")
+            vectorize(self._threads(), build_space("pdtb"))
 
     def test_unlabeled_thread_rejected(self):
         raw = make_thread(["student"], labeled=False)
         with pytest.raises(ValueError, match="unlabeled"):
-            vectorize([raw], "pdtb", tags=load_lexicon())
+            vectorize([raw], build_space("pdtb"), load_lexicon())
 
 
 def test_feature_vector_validation():
@@ -285,14 +285,14 @@ def test_rows_do_not_depend_on_earlier_vocabularies(config):
     half = len(threads) // 2
     vocab_a, vocab_b = build_vocabulary(threads[:half]), build_vocabulary(threads[half:])
     assert vocab_a.index != vocab_b.index
-    kwargs = dict(tags=load_lexicon())
-    first_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
-    under_b = _rows(vectorize(threads, config, vocabulary=vocab_b, **kwargs))
-    again_a = _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs))
+    space_a, space_b, lexicon = build_space(config, vocab_a), build_space(config, vocab_b), load_lexicon()
+    first_a = _rows(vectorize(threads, space_a, lexicon))
+    under_b = _rows(vectorize(threads, space_b, lexicon))
+    again_a = _rows(vectorize(threads, space_a, lexicon))
     assert under_b != first_a
     assert again_a == first_a  # same values dicts, same key order
     _lexical_profile.cache_clear()
-    assert _rows(vectorize(threads, config, vocabulary=vocab_a, **kwargs)) == first_a
+    assert _rows(vectorize(threads, space_a, lexicon)) == first_a
 
 
 def _reference_rows(threads, config, vocabulary, tags):
@@ -328,7 +328,7 @@ def test_rows_match_a_token_by_token_reference(config):
     ]
     vocabulary, tags = build_vocabulary(train), load_lexicon()
     for threads in (train, test):
-        got = vectorize(threads, config, vocabulary=vocabulary, tags=tags)
+        got = vectorize(threads, build_space(config, vocabulary), tags)
         rows = [list(vec.values.items()) for vec, _label in got]
         assert rows == _reference_rows(threads, config, vocabulary, tags)  # same names, values and order
         assert all(type(value) is float for row in rows for _name, value in row)

@@ -203,7 +203,7 @@ class TestMatrixAndObjectiveBits:
             data.append((FeatureVector(dict(items), space), label))
         X, y = _to_arrays(data, space)
         rows = [i for i, (vec, _label) in enumerate(data) for _name in vec.values]
-        cols = [space.index(name) for vec, _label in data for name in vec.values]
+        cols = [space.index[name] for vec, _label in data for name in vec.values]
         values = [value for vec, _label in data for value in vec.values.values()]
         reference = sp.csr_matrix((values, (rows, cols)), shape=(n, dims))
         for attr in ("data", "indices", "indptr"):
@@ -713,6 +713,31 @@ class TestSaveLoad:
         line = next(line for line in text.split("\n") if new.lstrip("\t") in line)
         offset = len(text[: text.index(line)].encode("utf-8"))
         with pytest.raises(ModelFormatError, match=re.escape(f"line at byte {offset}: {reason}")):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, form",
+        [("n_iterations", "1_4"), ("n_iterations", " 14"), ("n_iterations", "\u0661\u0664"),
+         ("max_iterations", "5_00"), ("class_weight", "1_0"), ("l2_lambda", " 0.0001"),
+         ("w", " {}"), ("w", "{}_5"), ("w", "+{}")],
+        ids=["iterations-underscore", "iterations-space", "iterations-arabic-indic-digits", "max-iterations-underscore",
+             "class-weight-underscore", "l2-space", "weight-space", "weight-underscore", "weight-plus"],
+    )
+    def test_a_number_in_a_form_the_writer_never_writes_is_rejected(self, key, form, tmp_path):
+        # int() and float() read each of these cells, so they loaded, and the next save wrote other bytes
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        text = path.read_text("utf-8")
+        if key == "w":  # a positive weight, so that "+" before it still reads as a float
+            line = re.search(r"^w\t(\S+)\t([0-9].*)$", text, flags=re.MULTILINE)
+            cell, what = form.format(line[2]), f"weight of {line[1]!r}"
+            text = text.replace(line[0], f"w\t{line[1]}\t{cell}", 1)
+        else:
+            cell, what = form, key
+            text = re.sub(rf"(?<=\t{key}=)[^\t\n]*", cell, text, count=1)
+        path.write_text(text, "utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(f"{what} is {cell!r}, not a number in the form")):
             load_model(path)
 
 

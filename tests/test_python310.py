@@ -45,7 +45,8 @@ def rows_digest(corpus, discourse, features, syngen) -> str:
     spec = syngen.GenSpec(n_courses=3, threads_per_course=20, intervention_ratio=0.25,
                           vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=7)
     threads = corpus.filter_and_label(syngen.generate_threads(spec))
-    rows = features.vectorize(threads, "eplusp", features.build_vocabulary(threads), discourse.load_lexicon())
+    space = features.build_space("eplusp", features.build_vocabulary(threads))
+    rows = features.vectorize(threads, space, discourse.load_lexicon())
     text = repr([(sorted(vec.values.items()), label) for vec, label in rows])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
