@@ -5,13 +5,18 @@ docs/corpus-format.md). Threads from the noisy sub-forums are removed, threads
 opened by instructional staff are dropped, and the remaining threads are
 truncated at the first staff post, which also determines the label.
 Every id (course, thread, post, author, parent) is an interned string, one
-``str`` per distinct value for the run, and posts are slotted.
+``str`` per distinct value for the run, and posts are slotted. A record whose
+fields all have the common shape (whole-second ``Z`` timestamps among them) is
+read in C-level passes over its posts; any other is read field by field, the
+one path that raises a record's errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import operator
 import re
 import sys
 from collections.abc import Callable, Iterator
@@ -106,10 +111,6 @@ class Post:
     text: str
     # Absent for top-level posts; set to the parent's post_id for comments.
     parent_post_id: str | None = None
-
-    @property
-    def is_comment(self) -> bool:
-        return self.parent_post_id is not None
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,8 @@ def _parse_post(obj: dict) -> Post:
     )
 
 
-def _parse_record(line: str) -> tuple[Thread, bool]:
-    """Returns the thread and whether its posts needed re-sorting."""
-    try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
-        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
+def _parse_fields(obj) -> tuple[str, str, SubForumType, list[Post]]:
+    """A decoded record's ids, sub-forum and posts, checked field by field; every corpus error is raised here."""
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
     course_id, thread_id = _string(obj, "course_id"), _string(obj, "thread_id")
@@ -229,12 +226,54 @@ def _parse_record(line: str) -> tuple[Thread, bool]:
     for post in posts:
         if post.parent_post_id is not None and post.parent_post_id not in top_level:
             raise ValueError(f"parent_post_id {post.parent_post_id!r} does not name a top-level post")
-    monotone = all(
-        posts[i].timestamp <= posts[i + 1].timestamp for i in range(len(posts) - 1)
-    )
+    return course_id, thread_id, subforum, posts
+
+
+_ROLES = {role.value: role for role in AuthorRole}
+_SUBFORUMS = {forum.value: forum for forum in SubForumType}
+_POST_FIELDS = operator.itemgetter("post_id", "author_id", "role", "timestamp", "text")
+# the timestamp most writers (syngen among them) write: T, whole seconds and Z; fromisoformat reads it
+# with Z spelled +00:00 (Python 3.10 reads no Z) as parse_rfc3339 does
+_CANONICAL_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+
+
+def _parse_canonical(obj) -> tuple[str, str, SubForumType, list[Post]]:
+    """``_parse_fields`` for a record whose every field has the common shape, in C-level passes over its posts;
+    any other record raises TypeError, KeyError or ValueError, and the caller reads it field by field."""
+    posts = obj["posts"]
+    if type(posts) is not list or not posts:
+        raise ValueError
+    post_ids, author_ids, roles, stamps, texts = zip(*map(_POST_FIELDS, posts))
+    parents = list(map(dict.get, posts, itertools.repeat("parent_post_id")))
+    comments = [parent for parent in parents if parent is not None]
+    # a non-str field raises TypeError in a join or a lookup
+    if (_BAD_ID_CHARS.search("".join((obj["course_id"], obj["thread_id"], *post_ids, *author_ids, *comments)))
+            or not all(map(_CANONICAL_TIMESTAMP.fullmatch, stamps))
+            or {*map(type, texts)} != {str} or len({*post_ids}) < len(post_ids)
+            or not {*comments} <= {*itertools.compress(post_ids, map(operator.is_, parents, itertools.repeat(None)))}):
+        raise ValueError
+    subforum, roles = _SUBFORUMS[obj["subforum"]], map(_ROLES.__getitem__, roles)
+    times = map(datetime.fromisoformat, map(str.replace, stamps, itertools.repeat("Z"), itertools.repeat("+00:00")))
+    parents = [None if parent is None else sys.intern(parent) for parent in parents]
+    posts = list(map(Post, map(sys.intern, post_ids), map(sys.intern, author_ids), roles, times, texts, parents))
+    return sys.intern(obj["course_id"]), sys.intern(obj["thread_id"]), subforum, posts
+
+
+def _parse_record(line: str) -> tuple[Thread, bool]:
+    """Returns the thread and whether its posts needed re-sorting."""
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
+    try:
+        course_id, thread_id, subforum, posts = _parse_canonical(obj)
+    except (TypeError, KeyError, ValueError):
+        course_id, thread_id, subforum, posts = _parse_fields(obj)
+    times = [post.timestamp for post in posts]
+    monotone = all(map(operator.le, times, times[1:]))
     if not monotone:
         # stable sort: equal timestamps keep input order
-        posts = sorted(posts, key=lambda p: p.timestamp)
+        posts = sorted(posts, key=operator.attrgetter("timestamp"))
     return Thread(course_id, thread_id, subforum, tuple(posts)), not monotone
 
 

@@ -20,6 +20,10 @@ field, so a truncated copy of a thread is tagged on its own.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +35,7 @@ from .textprep import TokenizedPost, prepare_text, prepare_thread
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
+_SPAN_BOUND = re.compile("[0-9]+")  # a tag-import span bound, as tag writes it
 
 
 class LexiconError(InputError):
@@ -67,7 +72,7 @@ class LexiconEntry:
     discourse_prior: float
     sense_weights: tuple[float, float, float, float]
 
-    @property
+    @functools.cached_property
     def sense(self) -> SenseTag:
         # ties resolve to the earliest sense in ordinal order
         best = max(self.sense_weights)
@@ -93,11 +98,10 @@ _UNTAGGED = PostDiscourse(tags=())  # shared by every post without a connective
 class ConnectiveLexicon:
     def __init__(self, entries: list[LexiconEntry]):
         self.entries = {e.tokens: e for e in entries}
-        self._by_first: dict[str, list[LexiconEntry]] = {}
-        for entry in entries:
-            self._by_first.setdefault(entry.tokens[0], []).append(entry)
-        for group in self._by_first.values():
-            group.sort(key=lambda e: -len(e.tokens))
+        # first token -> (length, tokens, entry) of each surface it starts, longest first
+        self._by_first: dict[str, list[tuple[int, tuple[str, ...], LexiconEntry]]] = {}
+        for entry in sorted(entries, key=lambda e: -len(e.tokens)):
+            self._by_first.setdefault(entry.tokens[0], []).append((len(entry.tokens), entry.tokens, entry))
         self._tagged: dict[Thread, tuple[PostDiscourse, ...]] = {}  # thread -> its posts' tags
 
 
@@ -136,37 +140,30 @@ def tag_post(tok: TokenizedPost, lexicon: ConnectiveLexicon) -> PostDiscourse:
     touches a comma. The sense is the argmax of the entry's sense weights.
     """
     tokens = tok.tokens
-    n = len(tokens)
     by_first = lexicon._by_first
-    matches: list[tuple[int, int, LexiconEntry]] = []
-    for i in [i for i, token in enumerate(tokens) if token in by_first]:
-        for entry in by_first[tokens[i]]:
-            end = i + len(entry.tokens)
-            if end <= n and tokens[i:end] == entry.tokens:
-                matches.append((i, end, entry))
-    if not matches:
+    if by_first.keys().isdisjoint(tokens):  # no surface starts here, as in most posts
         return _UNTAGGED
-    matches.sort(key=lambda m: (m[0] - m[1], m[0]))  # longer first, then leftmost
-    used = [False] * n
-    resolved: list[tuple[int, int, LexiconEntry]] = []
-    for start, end, entry in matches:
-        if any(used[start:end]):
-            continue
-        for k in range(start, end):
-            used[k] = True
-        resolved.append((start, end, entry))
-
-    sentence_starts = {s for s, _e in tok.sentences}
-    tagged: list[TaggedConnective] = []
-    for start, end, entry in resolved:
-        cue = (
-            start in sentence_starts
-            or (start > 0 and tokens[start - 1] == ",")
-            or (end < n and tokens[end] == ",")
-        )
-        if entry.discourse_prior >= DEFAULT_TAU or cue:
-            tagged.append(TaggedConnective(start, end, entry.surface, entry.sense))
-    tagged.sort(key=lambda t: t.start)
+    # a slice past the end is shorter than the surface, so it never matches
+    matches = [(i, i + n, entry)
+               for i in itertools.compress(itertools.count(), map(by_first.__contains__, tokens))
+               for n, surface, entry in by_first[tokens[i]] if tokens[i:i + n] == surface]
+    if len(matches) > 1:  # matches are by start, so one match has nothing to resolve
+        matches.sort(key=lambda m: (m[0] - m[1], m[0]))  # longer first, then leftmost
+        used = [False] * len(tokens)
+        resolved: list[tuple[int, int, LexiconEntry]] = []
+        for start, end, entry in matches:
+            if not any(used[start:end]):
+                used[start:end] = [True] * (end - start)
+                resolved.append((start, end, entry))
+        matches = sorted(resolved, key=operator.itemgetter(0))
+    tagged = [
+        TaggedConnective(start, end, entry.surface, entry.sense)
+        for start, end, entry in matches
+        if entry.discourse_prior >= DEFAULT_TAU
+        or (start > 0 and tokens[start - 1] == ",")
+        or (end < len(tokens) and tokens[end] == ",")
+        or any(s == start for s, _e in tok.sentences)
+    ]
     return PostDiscourse(tags=tuple(tagged)) if tagged else _UNTAGGED
 
 
@@ -207,7 +204,7 @@ def tag_thread(thread: Thread, tags: ConnectiveLexicon | TagImport | None) -> li
 
 def _parse_triple(cell: str) -> tuple[int, int, SenseTag]:
     bits = cell.split(":")
-    if len(bits) != 3:
+    if len(bits) != 3 or not all(map(_SPAN_BOUND.fullmatch, bits[:2])):
         raise ValueError(f"bad triple {cell!r}")
     return int(bits[0]), int(bits[1]), SenseTag.from_label(bits[2])
 

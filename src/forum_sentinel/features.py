@@ -30,14 +30,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .corpus import CONTENT_SUBFORUMS, Label, Thread
+from .corpus import CONTENT_SUBFORUMS, AuthorRole, Label, Thread
 from .discourse import SENSES, ConnectiveLexicon, PostDiscourse, TagImport, tag_thread
-from .textprep import Shared, TokenizedPost, content_filter, prepare_text, prepare_thread
+from .textprep import Shared, content_filter, prepare_text, prepare_thread
 
 FEATURE_CONFIGS = ("edm15", "pdtb", "eplusp")
 # the configs with the lexical block and those with the discourse block
@@ -133,15 +135,15 @@ class Vocabulary:
 
 
 @lru_cache(maxsize=1)
-def load_affirmations() -> tuple[str, ...]:
-    """Affirmation phrases as space-joined tokens padded with one space each side."""
+def load_affirmations() -> re.Pattern:
+    """A pattern matching any affirmation phrase as space-joined tokens padded with one space each side."""
     data = resources.files("forum_sentinel.data").joinpath("affirmations.txt").read_text("utf-8")
     phrases = []
     for line in data.splitlines():
         line = line.strip().lower()
         if line and not line.startswith("#"):
-            phrases.append(f" {' '.join(prepare_text(line).tokens)} ")
-    return tuple(phrases)
+            phrases.append(re.escape(f" {' '.join(prepare_text(line).tokens)} "))
+    return re.compile("|".join(phrases))
 
 
 _UNIGRAM_PREFIX = "uni."
@@ -157,16 +159,16 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]
     first-occurrence order, and its nonzero structural values in row order;
     shared, so never mutate them."""
     tokenized = prepare_thread(thread)
-    # filtering each distinct token keeps the first-occurrence order of filtering each occurrence
-    counts = Counter(itertools.chain.from_iterable([tok.tokens for tok in tokenized]))
-    kept = content_filter(list(counts))
-    names = map(_UNIGRAM_NAMES.__getitem__, kept)
-    unigrams = dict(zip(names, map(_COUNT_FLOATS.__getitem__, map(counts.__getitem__, kept))))
+    counts = Counter(content_filter(list(itertools.chain.from_iterable(map(operator.attrgetter("tokens"), tokenized)))))
+    unigrams = dict(zip(map(_UNIGRAM_NAMES.__getitem__, counts), map(_COUNT_FLOATS.__getitem__, counts.values())))
 
     values = {f"forum.{thread.subforum.value}": 1.0}
-    if _has_affirmation(thread, tokenized):
+    affirmation = load_affirmations()
+    # a student's reply holds a phrase; tokens hold no spaces, so a padded substring is a whole-token run
+    if any(post.role is AuthorRole.STUDENT and affirmation.search(f" {' '.join(tok.tokens)} ")
+           for post, tok in zip(thread.posts[1:], tokenized[1:])):
         values["affirmation"] = 1.0
-    n_posts = sum(1 for p in thread.posts if not p.is_comment)
+    n_posts = list(map(operator.attrgetter("parent_post_id"), thread.posts)).count(None)  # top-level posts
     n_comments = len(thread.posts) - n_posts
     if n_posts:
         values["n_posts"] = float(n_posts)
@@ -175,7 +177,7 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]
         values["n_comments"] = float(n_comments)
     if thread.posts:
         values["n_posts_plus_comments"] = float(len(thread.posts))
-    n_sentences = sum(tok.n_sentences for tok in tokenized)
+    n_sentences = sum(map(len, map(operator.attrgetter("sentences"), tokenized)))
     if n_sentences:
         values["n_sentences"] = float(n_sentences)
     for name, placeholder in (("n_url", "URL"), ("n_timeref", "TIMEREF")):
@@ -243,18 +245,6 @@ def pdtb_features(taggings: list[PostDiscourse], thread_token_length: int) -> Fe
     return FeatureVector(values=_pdtb_values(taggings, thread_token_length), space=build_space("pdtb"))
 
 
-def _has_affirmation(thread: Thread, tokenized: tuple[TokenizedPost, ...]) -> bool:
-    phrases = load_affirmations()
-    for i, (post, tok) in enumerate(zip(thread.posts, tokenized)):
-        if i == 0 or post.role.value != "student":
-            continue
-        # tokens hold no spaces, so a padded substring is a whole-token run
-        text = f" {' '.join(tok.tokens)} "
-        if any(phrase in text for phrase in phrases):
-            return True
-    return False
-
-
 def vectorize(threads: list[Thread], space: FeatureSpace,
               tags: ConnectiveLexicon | TagImport | None = None) -> list[tuple[FeatureVector, int]]:
     """Turn labeled threads into (FeatureVector, label) pairs over ``space``; label 1 = intervened. A space
@@ -277,7 +267,7 @@ def vectorize(threads: list[Thread], space: FeatureSpace,
                 values = {name: count for name, count in unigrams.items() if name in in_space}
             values.update(structure)
         if needs_discourse:  # prepared before tagging, so a cold preparation counts as text prep
-            n_tokens = sum(tok.n_tokens for tok in prepare_thread(thread))
+            n_tokens = sum(map(len, map(operator.attrgetter("tokens"), prepare_thread(thread))))
             values.update(_pdtb_values(tag_thread(thread, tags), n_tokens))
         label = 1 if thread.label is Label.INTERVENED else 0
         out.append((FeatureVector(values=values, space=space), label))

@@ -446,8 +446,10 @@ def load_model(path: str | Path) -> MaxentModel:
         if not 0 <= n_iterations <= config.max_iterations:
             raise ValueError(f"n_iterations={n_iterations} is not within 0..max_iterations={config.max_iterations}")
         space_config, provenance, ndims = cells("space", 3)
+        if (n_dims := number(ndims, "the dimension count", int)) < 0:
+            raise ValueError(f"the dimension count {n_dims} is negative")
         weights: dict[str, float] = {}
-        for _ in range(number(ndims, "the dimension count", int)):
+        for _ in range(n_dims):
             name, value = cells("w", 2)
             if name in weights:
                 raise ValueError(f"duplicate weight line for {name!r}")

@@ -2,21 +2,21 @@
 
 A post is prepared in a few regex passes. ``replace_nonlexical`` rewrites
 URLs, $-delimited equations, clock times and heuristic equation runs to the
-opaque placeholders URL / EQU / TIMEREF, skipping a pass when the text lacks
-a literal its matches need ("://" or "www.", "$", ":", two operators). A
+opaque placeholders URL / EQU / TIMEREF, skipping a pass when the text lacks a
+literal its matches need ("://" or "www.", "$", ":", two operators). A
 placeholder that would touch a letter, digit or apostrophe gets a space on
 that side, so "10:30am" becomes "TIMEREF am", not "timerefam". One pass then
-finds the runs of . ! ? that whitespace and a capital follow, the only
-places a sentence can end, and ``_TOKEN_RE.findall`` reads the tokens
-between them: runs of ASCII letters and digits joined by inner apostrophes,
-or single other non-space characters, lowercased except the placeholders.
-The fixtures data/nonlexical_patterns.tsv and sentence_splits.tsv pin this.
-Prepared posts share their values: each distinct raw token is prepared once,
-so all tokens that spell one word are one ``str`` object, and equal
-``(start, end)`` sentence bounds, equal bound sequences and equal replacement
-counts are each one object for the run. ``replaced_counts`` is a read-only
-mapping, so a write to it raises ``TypeError`` instead of reaching every post
-that shares it.
+splits the text after each run of . ! ? that whitespace and a non-terminator
+follow; a sentence can end there if the next piece opens with a capital. Each
+piece is read chunk by whitespace-delimited chunk, and each distinct chunk's
+tokens once by ``_TOKEN_RE``: runs of ASCII letters and digits joined by inner
+apostrophes, or single other non-space characters, lowercased except the
+placeholders. The fixtures data/nonlexical_patterns.tsv and
+sentence_splits.tsv pin this. Prepared posts share their values: all tokens
+that spell one word are one ``str`` object, and equal ``(start, end)``
+sentence bounds, equal bound sequences and equal replacement counts are each
+one object for the run. ``replaced_counts`` is a read-only mapping, so a write
+to it raises ``TypeError`` instead of reaching every post that shares it.
 ``prepare_text`` is the only path from text to tokens, for posts, lexicon
 surfaces and affirmation phrases alike. ``prepare_thread`` prepares each
 post of a thread and caches the result per thread.
@@ -24,6 +24,8 @@ post of a thread and caches the result per thread.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 import string
 import sys
@@ -52,8 +54,9 @@ _PASS_PLACEHOLDERS = {_URL_RE: "URL", _DOLLAR_EQU_RE: "EQU", _TIME_RE: "TIMEREF"
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
-# a maximal run of terminator tokens and, when whitespace follows it, the first character of the next token
-_TERMINATOR_RUN_RE = re.compile(r"[.!?](?:\s*[.!?])*(?:\s+(\S))?")
+# the last terminator of a run of . ! ? and the whitespace after it, where a token other than a terminator
+# follows: the places a sentence can end. The terminator is a token of its own.
+_BREAK_RE = re.compile(r"([.!?])\s+(?=[^\s.!?])")
 
 
 class Shared(dict):
@@ -68,9 +71,10 @@ class Shared(dict):
         return value
 
 
-# each raw token's prepared form, one string per word for the run: the prepared posts are held
-# for the run, and a fresh string for each of their tokens raised peak RSS
-_TOKENS = Shared(lambda token: token if token in PLACEHOLDERS else sys.intern(token.lower()))
+# each whitespace-delimited chunk's prepared tokens (no token spans whitespace), one string per word for the
+# run: the prepared posts are held for the run, and a fresh string for each of their tokens raised peak RSS
+_CHUNK_TOKENS = Shared(lambda chunk: tuple(
+    token if token in PLACEHOLDERS else sys.intern(token.lower()) for token in _TOKEN_RE.findall(chunk)))
 # likewise one sentence bound pair and one bound sequence per distinct value (a pair never equals a sequence)
 _BOUNDS = Shared(lambda bounds: bounds)
 # one read-only counts mapping per distinct (EQU, URL, TIMEREF) triple
@@ -132,23 +136,27 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
 
 
 def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
-    """The tokens of text and its sentence bounds (see prepare_text), read up to each candidate bound and the end;
-    every non-space character is in one token, so the tokens read so far give the bound's token index."""
-    tokens: list[str] = []
+    """The tokens of text and its sentence bounds (see prepare_text), read piece by piece between the candidate
+    bounds, and each piece chunk by chunk."""
+    pieces = _BREAK_RE.split(text)  # text, then (terminator, text) pairs
+    tokens = list(itertools.chain.from_iterable(map(_CHUNK_TOKENS.__getitem__, pieces[0].split())))
     sentences: list[tuple[int, int]] = []
-    start = pos = words = 0
-    for end in [m.start(1) for m in _TERMINATOR_RUN_RE.finditer(text) if (m.group(1) or "").isupper()] + [len(text)]:
-        segment = list(map(_TOKENS.__getitem__, _TOKEN_RE.findall(text, pos, end)))
-        pos = end
-        for tok in segment:  # words since the sentence start, counted up to two
-            words += tok[0].isalnum()
-            if words == 2:
-                break
-        tokens += segment
-        if words == 2 or (end == len(text) and start < len(tokens)):
+    start = 0
+    for i in range(2, len(pieces), 2):
+        tokens.append(pieces[i - 1])
+        if pieces[i][0].isupper() and _two_words(tokens, start):
             sentences.append(_BOUNDS[start, len(tokens)])
-            start, words = len(tokens), 0
+            start = len(tokens)
+        tokens += itertools.chain.from_iterable(map(_CHUNK_TOKENS.__getitem__, pieces[i].split()))
+    if start < len(tokens):
+        sentences.append(_BOUNDS[start, len(tokens)])
     return tuple(tokens), _BOUNDS[tuple(sentences)]
+
+
+def _two_words(tokens: list[str], start: int) -> bool:
+    """Whether tokens from start on hold two words (tokens that start with a letter or digit)."""
+    words = (token for token in itertools.islice(tokens, start, None) if token[0].isalnum())
+    return next(words, None) is not None and next(words, None) is not None
 
 
 def prepare_text(text: str) -> TokenizedPost:
@@ -166,7 +174,7 @@ def prepare_text(text: str) -> TokenizedPost:
 @lru_cache(maxsize=None)
 def prepare_thread(thread: Thread) -> tuple[TokenizedPost, ...]:
     """Replace non-lexical spans and tokenize every post (cached per thread)."""
-    return tuple(prepare_text(post.text) for post in thread.posts)
+    return tuple(map(prepare_text, map(operator.attrgetter("text"), thread.posts)))
 
 
 @lru_cache(maxsize=1)
@@ -181,5 +189,8 @@ def content_filter(tokens: tuple[str, ...] | list[str]) -> list[str]:
     Only the lexical baseline feature path uses this; discourse tagging runs
     on the unfiltered stream.
     """
-    stop = load_stopwords()
-    return [t for t in tokens if t in PLACEHOLDERS or (len(t) >= 3 and t not in stop)]
+    return list(itertools.compress(tokens, map(_KEPT.__getitem__, tokens)))
+
+
+# whether content_filter keeps each distinct token
+_KEPT = Shared(lambda token: token in PLACEHOLDERS or (len(token) >= 3 and token not in load_stopwords()))

@@ -630,6 +630,20 @@ def test_feature_dump_fuzz_never_internal_error(content, tmp_path):
     assert main(["train", "--features-file", str(tmp_path / "features.tsv"), "--out", str(tmp_path / "o")]) in (0, 2)
 
 
+@pytest.mark.parametrize("cell", ["\u0661:2:Temporal", "\uff10:1:Expansion", "+0:1:Expansion", "0:+1:Expansion",
+                                  "-0:1:Expansion", " 0:1:Expansion", "0:1 :Expansion", "0_0:1:Expansion",
+                                  "0:0_1:Expansion"],
+                         ids=["arabic-indic-digit", "fullwidth-digit", "plus-start", "plus-end", "minus-zero",
+                              "leading-space", "trailing-space", "underscore-start", "underscore-end"])
+def test_a_span_bound_other_than_ascii_digits_is_rejected(cell, small_corpus, tmp_path, capsys):
+    # int() reads each of these bounds, so the cell loaded as a span that tag never writes that way
+    (tmp_path / "tags.tsv").write_text(f"C1\tpos0\tp0\t0:1:Expansion\nC1\tpos0\tp1\t{cell}\n", "utf-8")
+    argv = ["featurize", "--corpus", str(small_corpus), "--features", "pdtb", "--tags", str(tmp_path / "tags.tsv"),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"tag import line 2: bad triple {cell!r}" in capsys.readouterr().err
+
+
 def test_tag_import_of_hash_prefixed_ids_matches_the_tagger(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     spec = GenSpec(n_courses=2, threads_per_course=30, intervention_ratio=0.25,

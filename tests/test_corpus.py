@@ -4,7 +4,10 @@ import json
 from datetime import datetime
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from forum_sentinel import corpus
 from forum_sentinel.cli import load_feature_dump, main
 from forum_sentinel.corpus import (
     CorpusFormatError,
@@ -20,6 +23,16 @@ from forum_sentinel.features import prepare_thread
 from forum_sentinel.syngen import GenSpec, generate_threads
 
 from conftest import make_thread, post_obj, record
+from test_cli import _json_values, _records
+
+
+# RFC 3339 timestamps in forms other than syngen's, and each one's UTC time
+UTC_FORMS = {
+    "lowercase-t-and-z": ("2020-01-01t10:00:00z", "2020-01-01T10:00:00"),
+    "space-separator": ("2020-01-01 10:00:00Z", "2020-01-01T10:00:00"),
+    "fraction-and-zero-offset": ("2020-01-01T10:00:00.5-00:00", "2020-01-01T10:00:00.500000"),
+    "fraction-past-microseconds": ("2020-01-01T10:00:00.1234567+01:30", "2020-01-01T08:30:00.123456"),
+}
 
 
 class TestLoadCorpus:
@@ -98,16 +111,7 @@ class TestLoadCorpus:
             load_corpus(path)
         assert main(["ingest", "--corpus", str(path)]) == 2
 
-    @pytest.mark.parametrize(
-        "ts, utc",
-        [
-            ("2020-01-01t10:00:00z", "2020-01-01T10:00:00"),
-            ("2020-01-01 10:00:00Z", "2020-01-01T10:00:00"),
-            ("2020-01-01T10:00:00.5-00:00", "2020-01-01T10:00:00.500000"),
-            ("2020-01-01T10:00:00.1234567+01:30", "2020-01-01T08:30:00.123456"),
-        ],
-        ids=["lowercase-t-and-z", "space-separator", "fraction-and-zero-offset", "fraction-past-microseconds"],
-    )
+    @pytest.mark.parametrize("ts, utc", UTC_FORMS.values(), ids=UTC_FORMS)
     def test_rfc3339_timestamp_loads_as_utc(self, corpus_file, ts, utc):
         (thread,) = load_corpus(corpus_file([record(posts=[post_obj(0, ts=ts)])])).threads
         assert thread.posts[0].timestamp == datetime.fromisoformat(utc + "+00:00")
@@ -275,3 +279,65 @@ def test_each_reader_names_the_line_of_a_repeated_record(reader, text, message, 
     with pytest.raises(InputError) as exc:
         reader(path)
     assert str(exc.value) == message
+
+
+# ids a writer may escape (tab, CR, LF, lone surrogates), timestamps of the canonical shape that are out of order
+# or out of range, and fields of the wrong JSON type, dropped into records of the CLI fuzz's shape
+_ODD_IDS = st.sampled_from(["x\ty", "x\ry", "x\ny", "x\ud800", "\udfff", "", "p0", "C1", "t1"])
+_IN_RANGE_STAMPS = st.sampled_from(["2020-01-06T09:00:00Z", "2020-01-06T11:00:00Z", "2020-01-06T10:00:00Z"])
+_CANONICAL_STAMPS = _IN_RANGE_STAMPS | st.sampled_from([
+    "2020-13-06T10:00:00Z", "2020-02-30T10:00:00Z", "0000-01-01T00:00:00Z", "2020-01-06T10:00:00ZZ", "",
+    "2020-01-06T10:00:00Z2020-01-06T10:00:00Z",
+])
+_RECORD_FIELDS = ("course_id", "thread_id", "subforum")
+_POST_FIELDS = ("post_id", "author_id", "role", "timestamp", "text", "parent_post_id")
+
+
+@st.composite
+def _odd_records(draw):
+    if draw(st.booleans()):  # the CLI fuzz's records, most of them malformed somewhere
+        rec = draw(_records)
+    else:  # a valid record, as most real records are, before the changes below
+        posts = [post_obj(i, role=draw(st.sampled_from(["student", "instructor"])), text=draw(st.text(max_size=20)),
+                          ts=draw(_IN_RANGE_STAMPS), parent="p0" if i and draw(st.booleans()) else None)
+                 for i in range(draw(st.integers(1, 3)))]
+        rec = record(tid=draw(st.integers(0, 10**6).map("t{}".format)), posts=posts)
+    raw_posts = rec.get("posts") if isinstance(rec, dict) else None
+    posts = [p for p in raw_posts if isinstance(p, dict)] if isinstance(raw_posts, list) else []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if isinstance(rec, dict) else 0):
+        field = draw(st.sampled_from(_RECORD_FIELDS + _POST_FIELDS))
+        value = draw(_CANONICAL_STAMPS if field == "timestamp" else _ODD_IDS | _json_values)
+        if field in _RECORD_FIELDS:
+            rec[field] = value
+        elif posts:
+            draw(st.sampled_from(posts))[field] = value
+    return rec
+
+
+def _load_outcome(path):
+    """The repr of the loaded threads and the re-sort count, or the error text."""
+    try:
+        result = load_corpus(path)
+    except CorpusFormatError as exc:
+        return str(exc)
+    return repr(result.threads), result.resorted_threads
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_odd_records(), min_size=1, max_size=4))
+@example(records=[record(posts=[post_obj(0, ts="2020-01-06T11:00:00Z"), post_obj(1, ts="2020-01-06T10:00:00Z")])])
+@example(records=[record(posts=[post_obj(0), post_obj(1, parent="p0"), post_obj(2, parent="p1")])])
+@example(records=[record(course="C\t1")])
+@example(records=[record(posts=[post_obj(0, ts="2020-01-06T10:00:00Z" * 2), post_obj(1, ts="")])])
+@example(records=[record(posts=[post_obj(0), post_obj(0)])])
+def test_load_matches_the_per_field_parser(records, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    with pytest.MonkeyPatch.context() as patch:  # every record read field by field
+        patch.setattr(corpus, "_parse_canonical", _not_canonical)
+        oracle = _load_outcome(path)
+    assert _load_outcome(path) == oracle
+
+
+def _not_canonical(obj):
+    raise TypeError

@@ -715,6 +715,24 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=re.escape(f"line at byte {offset}: {reason}")):
             load_model(path)
 
+    @pytest.mark.parametrize("count, loads", [("0", True), ("-1", False)], ids=["zero", "negative"])
+    def test_a_negative_dimension_count_names_its_line(self, count, loads, tmp_path):
+        # with no weight lines and the hash of no names, -1 read as zero dimensions, and the next save wrote 0
+        model, _data = self._model()
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        text = re.sub(r"^w\t.*\n", "", path.read_text("utf-8"), flags=re.MULTILINE)
+        config = model.feature_space.config
+        text = re.sub(r"^space\t.*$", f"space\t{config}\t{FeatureSpace((), config).provenance}\t{count}", text,
+                      count=1, flags=re.MULTILINE)
+        path.write_text(text, "utf-8")
+        if loads:
+            assert len(load_model(path).feature_space) == 0
+            return
+        offset = len(text[: text.index("\nspace\t") + 1].encode("utf-8"))
+        with pytest.raises(ModelFormatError, match=re.escape(f"line at byte {offset}: the dimension count -1 is negative")):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "key, form",
         [("n_iterations", "1_4"), ("n_iterations", " 14"), ("n_iterations", "\u0661\u0664"),

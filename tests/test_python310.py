@@ -9,6 +9,7 @@ are loaded without the package ``__init__``, which imports the fitting modules.
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import shutil
 import subprocess
@@ -18,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from forum_sentinel import corpus, discourse, features, syngen
+
+from conftest import post_obj, record
+from test_corpus import UTC_FORMS
 
 PACKAGE = Path(corpus.__file__).resolve().parent
 
@@ -51,23 +55,53 @@ def rows_digest(corpus, discourse, features, syngen) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def load_outcome(corpus, good: str, bad: str) -> str:
+    """A digest of the threads loaded from ``good``, then the error text of loading ``bad``."""
+    import hashlib
+
+    digest = hashlib.sha256(repr(corpus.load_corpus(good).threads).encode("utf-8")).hexdigest()[:16]
+    try:
+        corpus.load_corpus(bad)
+    except corpus.CorpusFormatError as exc:
+        return f"{digest} {exc}"
+    return f"{digest} loaded"
+
+
 # a stand-in package whose submodules load from the source directory, so the package __init__ never runs
-_SCRIPT = f"""
+_PREAMBLE = """
 import sys, types
 package = types.ModuleType("forum_sentinel")
 package.__path__ = [sys.argv[1]]
 sys.modules["forum_sentinel"] = package
 from forum_sentinel import corpus, discourse, features, syngen, textprep
 assert "numpy" not in sys.modules
-{inspect.getsource(rows_digest)}
-print(rows_digest(corpus, discourse, features, syngen))
 """
 
 
-def test_numpy_free_modules_give_the_same_rows_on_python_310():
+def _run_on_python_310(function, call: str, *args: str) -> str:
+    """What ``call`` prints in a Python 3.10 that has the package's numpy-free modules and ``function``."""
     exe = _python310()
     if exe is None:
         pytest.skip("no Python 3.10 interpreter found")
-    proc = subprocess.run([exe, "-c", _SCRIPT, str(PACKAGE)], capture_output=True, text=True, timeout=300)
+    script = f"{_PREAMBLE}{inspect.getsource(function)}\nprint({call})\n"
+    proc = subprocess.run([exe, "-c", script, str(PACKAGE), *args], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == rows_digest(corpus, discourse, features, syngen)
+    return proc.stdout.strip()
+
+
+def test_numpy_free_modules_give_the_same_rows_on_python_310():
+    on_310 = _run_on_python_310(rows_digest, "rows_digest(corpus, discourse, features, syngen)")
+    assert on_310 == rows_digest(corpus, discourse, features, syngen)
+
+
+def test_a_corpus_loads_the_same_on_python_310(tmp_path):
+    # Python 3.10's fromisoformat reads no Z: every timestamp form, read on the per-field path or not
+    records = [record(tid=f"t{i}", posts=[post_obj(0, ts=ts)]) for i, (ts, _utc) in enumerate(UTC_FORMS.values())]
+    records.append(record(tid="canonical", posts=[post_obj(1), post_obj(0), post_obj(2, parent="p1")]))
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    bad_id = {**post_obj(1), "post_id": "x\ty"}
+    bad.write_text(f"{json.dumps(record())}\n{json.dumps(record(tid='t2', posts=[bad_id]))}\n", "utf-8")
+    on_310 = _run_on_python_310(load_outcome, "load_outcome(corpus, sys.argv[2], sys.argv[3])", str(good), str(bad))
+    assert on_310 == load_outcome(corpus, good, bad)
+    assert on_310.endswith("corpus line 2: post_id 'x\\ty' holds a tab, CR, LF or lone surrogate")

@@ -277,6 +277,51 @@ def test_text_layer_matches_the_oracles(text):
     assert prepare_text(text) == replace(_tokenize_per_token(replaced), replaced_counts=counts)
 
 
+# the sentence splitter before it read text chunk by chunk: one pass over the terminator runs that whitespace and
+# a capital follow, and _TOKEN_RE over the text between them
+_TERMINATOR_RUN_RE = re.compile(r"[.!?](?:\s*[.!?])*(?:\s+(\S))?")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
+
+
+def _split_by_terminator_runs(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+    tokens: list[str] = []
+    sentences: list[tuple[int, int]] = []
+    start = pos = words = 0
+    for end in [m.start(1) for m in _TERMINATOR_RUN_RE.finditer(text) if (m.group(1) or "").isupper()] + [len(text)]:
+        segment = [raw if raw in PLACEHOLDERS else raw.lower() for raw in _TOKEN_RE.findall(text, pos, end)]
+        pos = end
+        for tok in segment:  # words since the sentence start, counted up to two
+            words += tok[0].isalnum()
+            if words == 2:
+                break
+        tokens += segment
+        if words == 2 or (end == len(text) and start < len(tokens)):
+            sentences.append((start, len(tokens)))
+            start, words = len(tokens), 0
+    return tuple(tokens), tuple(sentences)
+
+
+# terminator runs with inner spaces, capitals in and out of ASCII, apostrophes, digits, placeholders typed and made
+_ORACLE_PIECES = [
+    ".", "!", "?", " . ", ". .", "! ?", "?!", "...", ". \u00c9", "\u00c9", "\u00dc", "\u00e9", "\u0130", "\u24b6", "A",
+    "b", "Zed", "'", "don't", "it's", "'s", "0", "42", "\u00b2", " ", "  ", "\n", "\t", "\u00a0", "\x1c", ",",
+    *PLACEHOLDERS, "http://x.y/Z", "www.A.b", "10:30", "$x^2$", "a=b+1",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_ORACLE_PIECES), max_size=40).map("".join))
+@example("Hi!! I have a question. \u00c9s it ok? Yes . . And you")
+@example("It's 10:30. Don't wait ! ? URL here. 42 is. Fine")
+@example("a b. \u00c9 c d.\x1c\u00dcber alles")
+def test_prepare_text_matches_the_terminator_run_oracle(text):
+    assert textprep._split(text) == _split_by_terminator_runs(text)
+    replaced, counts = replace_nonlexical(text)
+    prepared = prepare_text(text)
+    assert (prepared.tokens, prepared.sentences) == _split_by_terminator_runs(replaced)
+    assert dict(prepared.replaced_counts) == counts
+
+
 class TestContentFilter:
     def test_stopwords_and_short_tokens_removed(self):
         assert content_filter(["i", "am", "so", "confused"]) == ["confused"]
