@@ -5,15 +5,11 @@ docs/corpus-format.md). Threads from the noisy sub-forums are removed, threads
 opened by instructional staff are dropped, and the remaining threads are
 truncated at the first staff post, which also determines the label.
 Every id (course, thread, post, author, parent) is an interned string, one
-``str`` per distinct value for the run, and posts are slotted. A record whose
-fields all have the common shape (whole-second ``Z`` timestamps among them) is
-read in C-level passes over its posts; any other is read field by field, the
-one path that raises a record's errors.
+``str`` per distinct value for the run, and posts are slotted.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import operator
@@ -173,7 +169,9 @@ def parse_rfc3339(value: str) -> datetime:
     date_time, fraction, offset = m.groups()
     if fraction:
         date_time += "." + fraction[:6].ljust(6, "0")
-    ts = datetime.fromisoformat(date_time + ("+00:00" if offset in "Zz" else offset))
+    if offset in "Zz":  # already UTC
+        return datetime.fromisoformat(date_time + "+00:00")
+    ts = datetime.fromisoformat(date_time + offset)
     try:
         return ts.astimezone(timezone.utc)
     except OverflowError:  # the offset pushes the time out of range
@@ -185,38 +183,52 @@ _BAD_ID_CHARS = re.compile("[\t\r\n\ud800-\udfff]")
 
 
 def _string(obj: dict, key: str) -> str:
-    """The JSON string under ``key``; an id (a key ending in ``_id``) holds no tab, CR, LF or lone surrogate,
-    and is interned: the parsed threads are held for the run, so each id value is one string."""
-    value = obj.get(key)
-    if not isinstance(value, str):
+    """The JSON string under ``key``."""
+    if not isinstance(value := obj.get(key), str):
         raise ValueError(f"{key} is not a string" if key in obj else f"missing {key!r}")
-    if key.endswith("_id") and _BAD_ID_CHARS.search(value):
+    return value
+
+
+def _id(obj: dict, key: str) -> str:
+    """The id string under ``key``: it holds no tab, CR, LF or lone surrogate, and is interned (the parsed threads
+    are held for the run, so each id value is one string)."""
+    value = _string(obj, key)
+    # none of those characters is printable, so a printable id needs no search
+    if not value.isprintable() and _BAD_ID_CHARS.search(value):
         raise ValueError(f"{key} {value!r} holds a tab, CR, LF or lone surrogate")
-    return sys.intern(value) if key.endswith("_id") else value
+    return sys.intern(value)
+
+
+def _member(members: dict[str, _T], enum: Callable[[str], _T], value: str) -> _T:
+    """The enum member named by value: a dict lookup, and the (much slower) enum call raises for any other value."""
+    return members[value] if value in members else enum(value)
+
+
+_ROLES = {role.value: role for role in AuthorRole}
+_SUBFORUMS = {forum.value: forum for forum in SubForumType}
 
 
 def _parse_post(obj: dict) -> Post:
     if not isinstance(obj, dict):
         raise ValueError("post is not an object")
-    return Post(
-        post_id=_string(obj, "post_id"),
-        author_id=_string(obj, "author_id"),
-        role=AuthorRole(_string(obj, "role")),
-        timestamp=parse_rfc3339(_string(obj, "timestamp")),
-        text=_string(obj, "text"),
-        parent_post_id=None if obj.get("parent_post_id") is None else _string(obj, "parent_post_id"),
-    )
+    return Post(_id(obj, "post_id"), _id(obj, "author_id"), _member(_ROLES, AuthorRole, _string(obj, "role")),
+                parse_rfc3339(_string(obj, "timestamp")), _string(obj, "text"),
+                None if obj.get("parent_post_id") is None else _id(obj, "parent_post_id"))
 
 
-def _parse_fields(obj) -> tuple[str, str, SubForumType, list[Post]]:
-    """A decoded record's ids, sub-forum and posts, checked field by field; every corpus error is raised here."""
+def _parse_record(line: str) -> tuple[Thread, bool]:
+    """Returns the thread and whether its posts needed re-sorting."""
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
-    course_id, thread_id = _string(obj, "course_id"), _string(obj, "thread_id")
-    subforum = SubForumType(_string(obj, "subforum"))
+    course_id, thread_id = _id(obj, "course_id"), _id(obj, "thread_id")
+    subforum = _member(_SUBFORUMS, SubForumType, _string(obj, "subforum"))
     if not isinstance(obj.get("posts"), list) or not obj["posts"]:
         raise ValueError("posts is not a non-empty list")
-    posts = [_parse_post(p) for p in obj["posts"]]
+    posts = list(map(_parse_post, obj["posts"]))
     seen_ids = set()
     for post in posts:
         if post.post_id in seen_ids:
@@ -226,49 +238,6 @@ def _parse_fields(obj) -> tuple[str, str, SubForumType, list[Post]]:
     for post in posts:
         if post.parent_post_id is not None and post.parent_post_id not in top_level:
             raise ValueError(f"parent_post_id {post.parent_post_id!r} does not name a top-level post")
-    return course_id, thread_id, subforum, posts
-
-
-_ROLES = {role.value: role for role in AuthorRole}
-_SUBFORUMS = {forum.value: forum for forum in SubForumType}
-_POST_FIELDS = operator.itemgetter("post_id", "author_id", "role", "timestamp", "text")
-# the timestamp most writers (syngen among them) write: T, whole seconds and Z; fromisoformat reads it
-# with Z spelled +00:00 (Python 3.10 reads no Z) as parse_rfc3339 does
-_CANONICAL_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
-
-
-def _parse_canonical(obj) -> tuple[str, str, SubForumType, list[Post]]:
-    """``_parse_fields`` for a record whose every field has the common shape, in C-level passes over its posts;
-    any other record raises TypeError, KeyError or ValueError, and the caller reads it field by field."""
-    posts = obj["posts"]
-    if type(posts) is not list or not posts:
-        raise ValueError
-    post_ids, author_ids, roles, stamps, texts = zip(*map(_POST_FIELDS, posts))
-    parents = list(map(dict.get, posts, itertools.repeat("parent_post_id")))
-    comments = [parent for parent in parents if parent is not None]
-    # a non-str field raises TypeError in a join or a lookup
-    if (_BAD_ID_CHARS.search("".join((obj["course_id"], obj["thread_id"], *post_ids, *author_ids, *comments)))
-            or not all(map(_CANONICAL_TIMESTAMP.fullmatch, stamps))
-            or {*map(type, texts)} != {str} or len({*post_ids}) < len(post_ids)
-            or not {*comments} <= {*itertools.compress(post_ids, map(operator.is_, parents, itertools.repeat(None)))}):
-        raise ValueError
-    subforum, roles = _SUBFORUMS[obj["subforum"]], map(_ROLES.__getitem__, roles)
-    times = map(datetime.fromisoformat, map(str.replace, stamps, itertools.repeat("Z"), itertools.repeat("+00:00")))
-    parents = [None if parent is None else sys.intern(parent) for parent in parents]
-    posts = list(map(Post, map(sys.intern, post_ids), map(sys.intern, author_ids), roles, times, texts, parents))
-    return sys.intern(obj["course_id"]), sys.intern(obj["thread_id"]), subforum, posts
-
-
-def _parse_record(line: str) -> tuple[Thread, bool]:
-    """Returns the thread and whether its posts needed re-sorting."""
-    try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
-        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
-    try:
-        course_id, thread_id, subforum, posts = _parse_canonical(obj)
-    except (TypeError, KeyError, ValueError):
-        course_id, thread_id, subforum, posts = _parse_fields(obj)
     times = [post.timestamp for post in posts]
     monotone = all(map(operator.le, times, times[1:]))
     if not monotone:

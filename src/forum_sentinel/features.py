@@ -159,8 +159,11 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]
     first-occurrence order, and its nonzero structural values in row order;
     shared, so never mutate them."""
     tokenized = prepare_thread(thread)
-    counts = Counter(content_filter(list(itertools.chain.from_iterable(map(operator.attrgetter("tokens"), tokenized)))))
-    unigrams = dict(zip(map(_UNIGRAM_NAMES.__getitem__, counts), map(_COUNT_FLOATS.__getitem__, counts.values())))
+    # filtering each distinct token keeps the first-occurrence order of filtering each occurrence
+    counts = Counter(itertools.chain.from_iterable(map(operator.attrgetter("tokens"), tokenized)))
+    kept = content_filter(list(counts))
+    names = map(_UNIGRAM_NAMES.__getitem__, kept)
+    unigrams = dict(zip(names, map(_COUNT_FLOATS.__getitem__, map(counts.__getitem__, kept))))
 
     values = {f"forum.{thread.subforum.value}": 1.0}
     affirmation = load_affirmations()
@@ -177,7 +180,7 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]
         values["n_comments"] = float(n_comments)
     if thread.posts:
         values["n_posts_plus_comments"] = float(len(thread.posts))
-    n_sentences = sum(map(len, map(operator.attrgetter("sentences"), tokenized)))
+    n_sentences = sum(map(operator.attrgetter("n_sentences"), tokenized))
     if n_sentences:
         values["n_sentences"] = float(n_sentences)
     for name, placeholder in (("n_url", "URL"), ("n_timeref", "TIMEREF")):
@@ -267,7 +270,7 @@ def vectorize(threads: list[Thread], space: FeatureSpace,
                 values = {name: count for name, count in unigrams.items() if name in in_space}
             values.update(structure)
         if needs_discourse:  # prepared before tagging, so a cold preparation counts as text prep
-            n_tokens = sum(map(len, map(operator.attrgetter("tokens"), prepare_thread(thread))))
+            n_tokens = sum(map(operator.attrgetter("n_tokens"), prepare_thread(thread)))
             values.update(_pdtb_values(tag_thread(thread, tags), n_tokens))
         label = 1 if thread.label is Label.INTERVENED else 0
         out.append((FeatureVector(values=values, space=space), label))

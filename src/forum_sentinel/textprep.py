@@ -139,24 +139,24 @@ def _split(text: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
     """The tokens of text and its sentence bounds (see prepare_text), read piece by piece between the candidate
     bounds, and each piece chunk by chunk."""
     pieces = _BREAK_RE.split(text)  # text, then (terminator, text) pairs
-    tokens = list(itertools.chain.from_iterable(map(_CHUNK_TOKENS.__getitem__, pieces[0].split())))
+    tokens: list[str] = []
     sentences: list[tuple[int, int]] = []
-    start = 0
-    for i in range(2, len(pieces), 2):
-        tokens.append(pieces[i - 1])
-        if pieces[i][0].isupper() and _two_words(tokens, start):
-            sentences.append(_BOUNDS[start, len(tokens)])
-            start = len(tokens)
-        tokens += itertools.chain.from_iterable(map(_CHUNK_TOKENS.__getitem__, pieces[i].split()))
+    start = words = 0
+    for i in range(0, len(pieces), 2):
+        if i:
+            tokens.append(pieces[i - 1])
+            if words == 2 and pieces[i][0].isupper():
+                sentences.append(_BOUNDS[start, len(tokens)])
+                start, words = len(tokens), 0
+        piece = list(itertools.chain.from_iterable(map(_CHUNK_TOKENS.__getitem__, pieces[i].split())))
+        tokens += piece
+        for token in piece:  # words since the sentence start, counted up to two
+            if words == 2:
+                break
+            words += token[0].isalnum()
     if start < len(tokens):
         sentences.append(_BOUNDS[start, len(tokens)])
     return tuple(tokens), _BOUNDS[tuple(sentences)]
-
-
-def _two_words(tokens: list[str], start: int) -> bool:
-    """Whether tokens from start on hold two words (tokens that start with a letter or digit)."""
-    words = (token for token in itertools.islice(tokens, start, None) if token[0].isalnum())
-    return next(words, None) is not None and next(words, None) is not None
 
 
 def prepare_text(text: str) -> TokenizedPost:
@@ -189,8 +189,5 @@ def content_filter(tokens: tuple[str, ...] | list[str]) -> list[str]:
     Only the lexical baseline feature path uses this; discourse tagging runs
     on the unfiltered stream.
     """
-    return list(itertools.compress(tokens, map(_KEPT.__getitem__, tokens)))
-
-
-# whether content_filter keeps each distinct token
-_KEPT = Shared(lambda token: token in PLACEHOLDERS or (len(token) >= 3 and token not in load_stopwords()))
+    stop = load_stopwords()
+    return [t for t in tokens if t in PLACEHOLDERS or (len(t) >= 3 and t not in stop)]

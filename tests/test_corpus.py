@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime
+import re
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -281,14 +282,21 @@ def test_each_reader_names_the_line_of_a_repeated_record(reader, text, message, 
     assert str(exc.value) == message
 
 
-# ids a writer may escape (tab, CR, LF, lone surrogates), timestamps of the canonical shape that are out of order
-# or out of range, and fields of the wrong JSON type, dropped into records of the CLI fuzz's shape
-_ODD_IDS = st.sampled_from(["x\ty", "x\ry", "x\ny", "x\ud800", "\udfff", "", "p0", "C1", "t1"])
+# ids a writer may escape (tab, CR, LF, lone surrogates) or that are not printable yet allowed, timestamps in every
+# RFC 3339 form, in and out of order or range, roles and sub-forums near their enum values, and fields of the wrong
+# JSON type, dropped into records of the CLI fuzz's shape
+_ODD_IDS = st.sampled_from(["x\ty", "x\ry", "x\ny", "x\ud800", "\udfff", "", "p0", "C1", "t1", "x\u00a0y", "\x1c",
+                            "\u200b", "\r\n"])
 _IN_RANGE_STAMPS = st.sampled_from(["2020-01-06T09:00:00Z", "2020-01-06T11:00:00Z", "2020-01-06T10:00:00Z"])
-_CANONICAL_STAMPS = _IN_RANGE_STAMPS | st.sampled_from([
+_ODD_STAMPS = _IN_RANGE_STAMPS | st.sampled_from([
+    *(ts for ts, _utc in UTC_FORMS.values()), "2020-01-06T10:00:00.000001z", "2020-01-06t10:00:00+00:00",
+    "9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59.9999999Z",
     "2020-13-06T10:00:00Z", "2020-02-30T10:00:00Z", "0000-01-01T00:00:00Z", "2020-01-06T10:00:00ZZ", "",
-    "2020-01-06T10:00:00Z2020-01-06T10:00:00Z",
+    "2020-01-06T10:00:00Z2020-01-06T10:00:00Z", "2020-01-06T10:00:00", "2020-01-06T10:00:00+0100",
+    "\uff12020-01-06T10:00:00Z",
 ])
+_ENUM_VALUES = st.sampled_from([*(role.value for role in corpus.AuthorRole), *(forum.value for forum in SubForumType),
+                                "Student", "student ", "", "SubForumType.EXAM"])
 _RECORD_FIELDS = ("course_id", "thread_id", "subforum")
 _POST_FIELDS = ("post_id", "author_id", "role", "timestamp", "text", "parent_post_id")
 
@@ -306,7 +314,8 @@ def _odd_records(draw):
     posts = [p for p in raw_posts if isinstance(p, dict)] if isinstance(raw_posts, list) else []
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if isinstance(rec, dict) else 0):
         field = draw(st.sampled_from(_RECORD_FIELDS + _POST_FIELDS))
-        value = draw(_CANONICAL_STAMPS if field == "timestamp" else _ODD_IDS | _json_values)
+        value = draw(_ODD_STAMPS if field == "timestamp" else _ENUM_VALUES if field in ("role", "subforum")
+                     else _ODD_IDS | _json_values)
         if field in _RECORD_FIELDS:
             rec[field] = value
         elif posts:
@@ -323,21 +332,88 @@ def _load_outcome(path):
     return repr(result.threads), result.resorted_threads
 
 
+# the record parser before its shortcuts (roles and sub-forums by dict, no id search for a printable id, no
+# astimezone for a Z timestamp): every field read by its enum call, regex search and offset conversion
+_ORACLE_RFC3339_RE = re.compile(r"(\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d)(?:\.(\d+))?([Zz]|[+-]\d\d:[0-5]\d)", re.ASCII)
+_ORACLE_BAD_ID_CHARS = re.compile("[\t\r\n\ud800-\udfff]")
+
+
+def _oracle_rfc3339(value):
+    if (m := _ORACLE_RFC3339_RE.fullmatch(value)) is None:
+        raise ValueError(f"timestamp {value!r} is not RFC 3339 with Z or a numeric offset")
+    date_time, fraction, offset = m.groups()
+    if fraction:
+        date_time += "." + fraction[:6].ljust(6, "0")
+    ts = datetime.fromisoformat(date_time + ("+00:00" if offset in "Zz" else offset))
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {value!r} is out of range") from None
+
+
+def _oracle_string(obj, key):
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} is not a string" if key in obj else f"missing {key!r}")
+    if key.endswith("_id") and _ORACLE_BAD_ID_CHARS.search(value):
+        raise ValueError(f"{key} {value!r} holds a tab, CR, LF or lone surrogate")
+    return value
+
+
+def _oracle_post(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("post is not an object")
+    return corpus.Post(
+        post_id=_oracle_string(obj, "post_id"),
+        author_id=_oracle_string(obj, "author_id"),
+        role=corpus.AuthorRole(_oracle_string(obj, "role")),
+        timestamp=_oracle_rfc3339(_oracle_string(obj, "timestamp")),
+        text=_oracle_string(obj, "text"),
+        parent_post_id=None if obj.get("parent_post_id") is None else _oracle_string(obj, "parent_post_id"),
+    )
+
+
+def _oracle_record(line):
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', 'nested too deeply')})") from None
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    course_id, thread_id = _oracle_string(obj, "course_id"), _oracle_string(obj, "thread_id")
+    subforum = SubForumType(_oracle_string(obj, "subforum"))
+    if not isinstance(obj.get("posts"), list) or not obj["posts"]:
+        raise ValueError("posts is not a non-empty list")
+    posts = [_oracle_post(p) for p in obj["posts"]]
+    seen_ids = set()
+    for post in posts:
+        if post.post_id in seen_ids:
+            raise ValueError(f"duplicate post_id {post.post_id!r}")
+        seen_ids.add(post.post_id)
+    top_level = {p.post_id for p in posts if p.parent_post_id is None}
+    for post in posts:
+        if post.parent_post_id is not None and post.parent_post_id not in top_level:
+            raise ValueError(f"parent_post_id {post.parent_post_id!r} does not name a top-level post")
+    monotone = all(posts[i].timestamp <= posts[i + 1].timestamp for i in range(len(posts) - 1))
+    if not monotone:
+        posts = sorted(posts, key=lambda p: p.timestamp)
+    return corpus.Thread(course_id, thread_id, subforum, tuple(posts)), not monotone
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=st.lists(_odd_records(), min_size=1, max_size=4))
 @example(records=[record(posts=[post_obj(0, ts="2020-01-06T11:00:00Z"), post_obj(1, ts="2020-01-06T10:00:00Z")])])
 @example(records=[record(posts=[post_obj(0), post_obj(1, parent="p0"), post_obj(2, parent="p1")])])
 @example(records=[record(course="C\t1")])
+@example(records=[record(course="C\u00a01", posts=[post_obj(0, ts="2020-01-06 10:00:00.5z")])])
 @example(records=[record(posts=[post_obj(0, ts="2020-01-06T10:00:00Z" * 2), post_obj(1, ts="")])])
+@example(records=[record(posts=[post_obj(0, ts="9999-12-31T23:59:59-01:00")])])
 @example(records=[record(posts=[post_obj(0), post_obj(0)])])
+@example(records=[record(posts=[{**post_obj(0), "author_id": "\r\n"}])])
 def test_load_matches_the_per_field_parser(records, tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-    with pytest.MonkeyPatch.context() as patch:  # every record read field by field
-        patch.setattr(corpus, "_parse_canonical", _not_canonical)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_parse_record", _oracle_record)
         oracle = _load_outcome(path)
     assert _load_outcome(path) == oracle
-
-
-def _not_canonical(obj):
-    raise TypeError

@@ -95,9 +95,9 @@ def test_numpy_free_modules_give_the_same_rows_on_python_310():
 
 
 def test_a_corpus_loads_the_same_on_python_310(tmp_path):
-    # Python 3.10's fromisoformat reads no Z: every timestamp form, read on the per-field path or not
+    # Python 3.10's fromisoformat reads no Z: every timestamp form, syngen's whole-second Z among them
     records = [record(tid=f"t{i}", posts=[post_obj(0, ts=ts)]) for i, (ts, _utc) in enumerate(UTC_FORMS.values())]
-    records.append(record(tid="canonical", posts=[post_obj(1), post_obj(0), post_obj(2, parent="p1")]))
+    records.append(record(tid="syngen-form", posts=[post_obj(1), post_obj(0), post_obj(2, parent="p1")]))
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     good.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
     bad_id = {**post_obj(1), "post_id": "x\ty"}

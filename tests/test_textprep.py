@@ -322,6 +322,31 @@ def test_prepare_text_matches_the_terminator_run_oracle(text):
     assert dict(prepared.replaced_counts) == counts
 
 
+class _Looked(str):
+    """A token that counts how often it is looked into."""
+
+    looks = 0
+
+    def __getitem__(self, key):
+        _Looked.looks += 1
+        return str.__getitem__(self, key)
+
+
+@pytest.mark.parametrize("sentence", ["A b. ", "\u24b6. ", "Hi! Ok. "],
+                         ids=["two-word-sentences", "one-symbol-sentences", "folded-interjections"])
+def test_a_post_of_many_short_sentences_looks_into_each_token_a_bounded_number_of_times(sentence, monkeypatch):
+    # the two-word rule counts each sentence's words as its tokens are read, so the looks grow with the text,
+    # not with the text times its candidate bounds
+    made = textprep._CHUNK_TOKENS
+    monkeypatch.setattr(textprep, "_CHUNK_TOKENS", textprep.Shared(lambda chunk: tuple(map(_Looked, made[chunk]))))
+    looks = []
+    for n in (200, 400):
+        _Looked.looks = 0
+        tokens, _ = textprep._split(sentence * n)
+        looks.append(_Looked.looks)
+    assert len(tokens) >= 2 * n and looks[1] <= 2 * looks[0] + 2
+
+
 class TestContentFilter:
     def test_stopwords_and_short_tokens_removed(self):
         assert content_filter(["i", "am", "so", "confused"]) == ["confused"]
