@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import evaluation, features, syngen
-from .corpus import InputError, corpus_stats, filter_and_label, load_corpus, parse_lines
+from .corpus import WRITTEN, InputError, corpus_stats, filter_and_label, load_corpus, parse_lines
 from .discourse import (
     format_tag_records,
     load_lexicon,
@@ -137,6 +138,12 @@ def cmd_tag(args) -> int:
 _FEATURIZE_BLOCK = 256
 
 
+def dump_row(course_id: str, thread_id: str, label: int, values: dict[str, float]) -> str:
+    """A feature dump row, without its LF."""
+    cells = [f"{name}:{values[name]!r}" for name in sorted(values)]
+    return "\t".join([course_id, thread_id, "intervened" if label else "not_intervened", *cells])
+
+
 def cmd_featurize(args) -> int:
     threads = _load_filtered(args.corpus)
     tags = _tags(args)
@@ -153,9 +160,7 @@ def cmd_featurize(args) -> int:
                 block = threads[start : start + _FEATURIZE_BLOCK]
                 # the block's vectors are freed when its loop ends, before the next block is vectorized
                 for thread, (vec, label) in zip(block, vectorize(block, space, tags)):
-                    cells = [thread.course_id, thread.thread_id, "intervened" if label else "not_intervened"]
-                    cells += [f"{name}:{value!r}" for name, value in sorted(vec.values.items())]
-                    dump.write("\t".join(cells) + "\n")
+                    dump.write(dump_row(thread.course_id, thread.thread_id, label, vec.values) + "\n")
         partial.replace(out)
     finally:
         partial.unlink(missing_ok=True)
@@ -170,8 +175,16 @@ class FeatureDumpError(InputError):
 def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
     space = None
-    shared = Shared(str)  # one string per feature and one float per value text across all rows
-    floats = Shared(float)
+    floats = Shared(float)  # one float per value text across all rows
+
+    def cell(text: str) -> tuple[str, float]:  # the name is one string per name for the run
+        name, _, value = text.rpartition(":")
+        number = floats[value]
+        if math.isfinite(number) and not WRITTEN["float"].fullmatch(value):  # FeatureVector names a non-finite one
+            raise ValueError(f"the value of {name!r} is {value!r}, not a number in the form featurize writes")
+        return sys.intern(name), number
+
+    cells = Shared(cell)  # each distinct cell text read once
 
     def parse(line: str):
         nonlocal space
@@ -179,18 +192,14 @@ def load_feature_dump(path: str | Path):
             if not line.startswith("#space\t"):
                 raise ValueError("missing #space header")
             _tag, config, *names = line.split("\t")
-            space = FeatureSpace(tuple(names), config)
-            shared.update(zip(names, names))
+            space = FeatureSpace(tuple(map(sys.intern, names)), config)
             return None
-        course_id, thread_id, label, *cells = line.split("\t")
+        course_id, thread_id, label, *texts = line.split("\t")
         if label not in ("intervened", "not_intervened"):
             raise ValueError(f"bad label {label!r}")
-        values = {}
-        for cell in cells:
-            name, _, value = cell.rpartition(":")
-            values[shared[name]] = floats[value]
-        if len(values) < len(cells):
-            names = [cell.rpartition(":")[0] for cell in cells]
+        values = dict(map(cells.__getitem__, texts))
+        if len(values) < len(texts):
+            names = [text.rpartition(":")[0] for text in texts]
             raise ValueError(f"duplicate feature {next(n for n in names if names.count(n) > 1)!r} in the row")
         return course_id, thread_id, FeatureVector(values, space), int(label == "intervened")
 

@@ -34,6 +34,13 @@ class CorpusFormatError(InputError):
     """Raised when an input corpus file violates the frozen record schema."""
 
 
+# the one grammar of numbers in the tab-separated files, the forms their writers write: a tag span bound, str of
+# an int, and repr or %.17g of a finite float. int() and float() also read "_", "+", spaces and other scripts'
+# digits, and \d matches those digits, so [0-9]
+WRITTEN = {"count": re.compile("[0-9]+"), "int": re.compile("-?[0-9]+"),
+           "float": re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")}
+
+
 def parse_lines(path, kind: str, parse: Callable[[str], _T], key: Callable[[_T], str | None], error: type[InputError],
                 comments=False) -> Iterator[_T]:
     """Stream ``parse(line)`` over the lines of a UTF-8 file (a path, or a package resource).

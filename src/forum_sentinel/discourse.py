@@ -23,19 +23,17 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import InputError, Thread, parse_lines
+from .corpus import WRITTEN, InputError, Thread, parse_lines
 from .textprep import TokenizedPost, prepare_text, prepare_thread
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
-_SPAN_BOUND = re.compile("[0-9]+")  # a tag-import span bound, as tag writes it
 
 
 class LexiconError(InputError):
@@ -204,7 +202,7 @@ def tag_thread(thread: Thread, tags: ConnectiveLexicon | TagImport | None) -> li
 
 def _parse_triple(cell: str) -> tuple[int, int, SenseTag]:
     bits = cell.split(":")
-    if len(bits) != 3 or not all(map(_SPAN_BOUND.fullmatch, bits[:2])):
+    if len(bits) != 3 or not all(map(WRITTEN["count"].fullmatch, bits[:2])):
         raise ValueError(f"bad triple {cell!r}")
     return int(bits[0]), int(bits[1]), SenseTag.from_label(bits[2])
 

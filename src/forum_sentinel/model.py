@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -27,15 +26,12 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import expit
 
-from .corpus import InputError
+from .corpus import WRITTEN, InputError
 from .features import FeatureSpace, FeatureVector
 
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_HEADER = "forum-sentinel-model 1"
-# the number forms save_model writes, str of an int and %.17g of a float: int() also reads "_", "+", spaces
-# and other scripts' digits, and \d matches those digits, so [0-9]
-_WRITTEN = {int: re.compile(r"-?[0-9]+"), float: re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")}
 
 
 class ModelFormatError(InputError):
@@ -420,7 +416,7 @@ def load_model(path: str | Path) -> MaxentModel:
         value = kind(text)
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{what} is {text}, not finite")
-        if not _WRITTEN[kind].fullmatch(text):
+        if not WRITTEN[kind.__name__].fullmatch(text):
             raise ValueError(f"{what} is {text!r}, not a number in the form the model writer uses")
         return value
 

@@ -3,7 +3,8 @@
 A post is prepared in a few regex passes. ``replace_nonlexical`` rewrites
 URLs, $-delimited equations, clock times and heuristic equation runs to the
 opaque placeholders URL / EQU / TIMEREF, skipping a pass when the text lacks a
-literal its matches need ("://" or "www.", "$", ":", two operators). A
+literal its matches need ("://" or "www.", "$", ":", two operators), and all
+of them after one search in a text that holds none (nine posts in ten). A
 placeholder that would touch a letter, digit or apostrophe gets a space on
 that side, so "10:30am" becomes "TIMEREF am", not "timerefam". One pass then
 splits the text after each run of . ! ? that whitespace and a non-terminator
@@ -52,6 +53,7 @@ _PASS_LITERALS = {_URL_RE: ("://", "www."), _DOLLAR_EQU_RE: ("$",), _TIME_RE: ("
 _PASS_PLACEHOLDERS = {_URL_RE: "URL", _DOLLAR_EQU_RE: "EQU", _TIME_RE: "TIMEREF"}
 # characters a placeholder would merge with into one token (the tokenizer joins "'s" on)
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "'")
+_TRIGGER_RE = re.compile(r"[:$=+^/\\]")  # the pass literals other than "www.", and an equation run's operators
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
 # the last terminator of a run of . ! ? and the whitespace after it, where a token other than a terminator
@@ -122,8 +124,11 @@ def replace_nonlexical(text: str) -> tuple[str, dict[str, int]]:
     number of replacements per placeholder.
     """
     counts = dict.fromkeys(PLACEHOLDERS, 0)  # in PLACEHOLDERS order, the order of the _COUNTS key
+    # a placeholder adds no literal, so the literals of the text as given guard every pass
+    lowered = text.lower()
+    if "www." not in lowered and _TRIGGER_RE.search(text) is None:
+        return text, counts
     for pattern, token in _PASS_PLACEHOLDERS.items():
-        lowered = text.lower()
         if any(literal in lowered for literal in _PASS_LITERALS[pattern]):
             text, n = pattern.subn(_placeholder, text)
             counts[token] += n

@@ -439,7 +439,7 @@ class TestConfigAndErrors:
 
     def test_overflowing_feature_dump_exits_2_without_a_numpy_warning(self, tmp_path):
         path = tmp_path / "features.tsv"
-        path.write_text("#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e100\n"
+        path.write_text("#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e+100\n"
                         "C1\tt2\tnot_intervened\nC1\tt3\tintervened\n", "utf-8")
         src = str(resources.files("forum_sentinel").parent)
         proc = subprocess.run(  # a child process, so warnings print to stderr as they do for a user
@@ -616,7 +616,7 @@ _dump_cell = st.builds("{}:{!r}".format, st.sampled_from(_dump_names), st.floats
 _dump_row = _usually(
     _cells(st.sampled_from(["C1", "C2"]), st.sampled_from(["t1", "t2"]), _dump_label, st.lists(_dump_cell, max_size=3)),
     _cells(_junk, _junk, _usually(_dump_label, _junk), st.lists(_usually(
-        _dump_cell, st.sampled_from(["n_posts:nan", "n_posts:1e300", "n_url:", "x:1.0", ":"]) | _junk), max_size=3)),
+        _dump_cell, st.sampled_from(["n_posts:nan", "n_posts:1e+300", "n_url:", "x:1.0", ":"]) | _junk), max_size=3)),
 )
 
 
@@ -624,10 +624,44 @@ _dump_row = _usually(
 @given(content=_input_file(st.tuples(_dump_header, st.lists(_dump_row, max_size=5)).map(lambda t: [t[0], *t[1]])))
 @example(content=b"#space\tedm15\tn_posts\nC\t1\tt0\tintervened\tn_posts:1.0\n")  # a course id holding a tab
 # a fit that overflows
-@example(content=b"#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e300\nC1\tt2\tnot_intervened\n")
+@example(content=b"#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:1e+300\nC1\tt2\tnot_intervened\n")
 def test_feature_dump_fuzz_never_internal_error(content, tmp_path):
     (tmp_path / "features.tsv").write_bytes(content)
     assert main(["train", "--features-file", str(tmp_path / "features.tsv"), "--out", str(tmp_path / "o")]) in (0, 2)
+
+
+@pytest.mark.parametrize("value", ["1_0", "+\u0663", "+3.0", " 3.0", "3.0 ", "1e5", "3.", ".5", "1E-05", "\uff13.0"],
+                         ids=["underscore", "plus-arabic-indic-digit", "plus", "leading-space", "trailing-space",
+                              "unsigned-exponent", "no-fraction-digit", "no-integer-digit", "capital-e", "fullwidth-digit"])
+def test_a_dump_value_in_a_form_featurize_never_writes_is_rejected(value, tmp_path, capsys):
+    # float() reads each of these values, so the row loaded with a number featurize never writes that way
+    path = tmp_path / "features.tsv"
+    path.write_text(f"#space\tedm15\tn_posts\nC1\tt1\tintervened\tn_posts:{value}\nC1\tt2\tnot_intervened\n", "utf-8")
+    assert main(["train", "--features-file", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: feature dump line 2: the value of 'n_posts' is {value!r}, "
+                                       "not a number in the form featurize writes\n")
+
+
+_finite = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(0, 10**6).map(float)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.sampled_from(_dump_names), _finite, max_size=3), min_size=1, max_size=6))
+@example(rows=[{"n_posts": 0.0}, {"n_posts": -0.0}])
+@example(rows=[{"n_posts": -0.0}, {"n_posts": 0.0}])
+def test_a_dump_of_finite_values_reads_back_and_writes_the_same_bytes(rows, tmp_path_factory):
+    def write(values):  # the rows as featurize writes them
+        return "".join(cli.dump_row("C1", f"t{i}", i % 2, row) + "\n" for i, row in enumerate(values))
+
+    path = tmp_path_factory.mktemp("dump") / "features.tsv"
+    written = write(rows)
+    path.write_text("\t".join(("#space", "edm15", *_dump_names)) + "\n" + written, "utf-8")
+    _space, read = load_feature_dump(path)
+    values = [vec.values for _course, _thread, vec, _label in read]
+    assert [{name: value.hex() for name, value in row.items()} for row in values] == [  # -0.0 keeps its sign
+        {name: value.hex() for name, value in row.items()} for row in rows]
+    assert write(values) == written
 
 
 @pytest.mark.parametrize("cell", ["\u0661:2:Temporal", "\uff10:1:Expansion", "+0:1:Expansion", "0:+1:Expansion",

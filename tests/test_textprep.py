@@ -365,3 +365,48 @@ class TestContentFilter:
 
     def test_stopword_list_is_frozen_at_174(self):
         assert len(load_stopwords()) == 174
+
+
+def _replace_nonlexical_lowering_per_pass(text: str) -> tuple[str, dict[str, int]]:
+    """replace_nonlexical before its one trigger search: each pass guarded by its literals in a copy of the text
+    lowered afresh, then the operator count."""
+    counts = dict.fromkeys(PLACEHOLDERS, 0)
+    for pattern, token in textprep._PASS_PLACEHOLDERS.items():
+        lowered = text.lower()
+        if any(literal in lowered for literal in textprep._PASS_LITERALS[pattern]):
+            text, n = pattern.subn(textprep._placeholder, text)
+            counts[token] += n
+    if sum(map(text.count, "=+^/\\")) >= textprep._EQU_MIN_OPS:
+        n = sum(map(textprep._is_equation_run, textprep._EQU_RUN_RE.findall(text)))
+        if n:
+            text = textprep._EQU_RUN_RE.sub(textprep._equation, text)
+            counts["EQU"] += n
+    return text, counts
+
+
+# the fragments each pass looks for, in mixed case and cut short, beside text that none of them holds
+_TRIGGER_PIECES = [
+    "WWW.", "wWw.", "www", "w.", "HTTP://", "hTtPs://", "FTP://", "http:/", "://", "x.y", "$x$", "$", "$1 $",
+    "10:30", "1:05:07", "123:45", ":", "/", "\\", "=", "+", "^", "a=b+1", "x^2/3", "=+", "\u00b2", "2", "\u017f",
+    "\u0130", "a", "Q", ".", "'", " ", "\n", *PLACEHOLDERS,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TRIGGER_PIECES), max_size=30).map("".join))
+@example("see WWW.x.y at 10:30 or $x$")
+@example("x\u00b2/3")
+@example("a / b : c")
+@example("nothing here")
+# each trigger alone
+@example("2\\\\")
+@example("2//")
+@example("2^^")
+@example("2==")
+@example("2++")
+@example("$x$")
+@example("at 10:30")
+@example("wWw.x")
+def test_replace_nonlexical_matches_the_per_pass_lowering(text):
+    assert replace_nonlexical(text) == _replace_nonlexical_lowering_per_pass(text)
+
