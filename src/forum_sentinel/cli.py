@@ -9,11 +9,16 @@ byte-identical outputs for identical inputs and seed.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed input
 data (corpus, lexicon, tags, features or model file), 3 unexpected failure.
+
+A command runs with the cyclic garbage collector paused, then ``main`` restores
+the caller's setting. The data forms no reference cycles, so the collector's
+scans freed nothing, yet took 6% of a paper-scale ccv eplusp ``eval``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -213,10 +218,11 @@ def load_feature_dump(path: str | Path):
 
 
 def cmd_train(args) -> int:
-    _space, rows = load_feature_dump(args.features_file)
     config = _train_config(args)
-    try:  # the settings are valid, so a fit that fails is failed by the dump
-        model = train([(vec, label) for _c, _t, vec, label in rows], config)
+    try:  # the settings are valid, so a fit that fails is failed by the dump, which only the fit holds
+        model = train([(vec, label) for _c, _t, vec, label in load_feature_dump(args.features_file)[1]], config)
+    except FeatureDumpError:  # the reader names the line
+        raise
     except ValueError as exc:
         raise FeatureDumpError(f"cannot fit the feature dump: {exc}") from None
     out = _out_dir(args) / "model.txt"
@@ -303,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         _setup_logging()
         parser = build_parser()
@@ -325,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
         logger.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 if __name__ == "__main__":

@@ -147,10 +147,11 @@ def load_affirmations() -> re.Pattern:
 
 
 _UNIGRAM_PREFIX = "uni."
-# one name string per token and one float per count for every profile and space: the
-# profiles are held for the run, and a fresh float for each of their counts raised peak RSS
+# one name string per token and one float per count for every profile and space (the profiles are held for
+# the run, and a fresh float for each count raised peak RSS); a token's content name is None if content_filter drops it
 _UNIGRAM_NAMES = Shared(_UNIGRAM_PREFIX.__add__)
 _COUNT_FLOATS = Shared(float)
+_CONTENT_NAMES = Shared(lambda token: _UNIGRAM_NAMES[token] if content_filter((token,)) else None)
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +160,9 @@ def _lexical_profile(thread: Thread) -> tuple[dict[str, float], dict[str, float]
     first-occurrence order, and its nonzero structural values in row order;
     shared, so never mutate them."""
     tokenized = prepare_thread(thread)
-    # filtering each distinct token keeps the first-occurrence order of filtering each occurrence
-    counts = Counter(itertools.chain.from_iterable(map(operator.attrgetter("tokens"), tokenized)))
-    kept = content_filter(list(counts))
-    names = map(_UNIGRAM_NAMES.__getitem__, kept)
-    unigrams = dict(zip(names, map(_COUNT_FLOATS.__getitem__, map(counts.__getitem__, kept))))
+    counts = Counter(map(_CONTENT_NAMES.__getitem__, itertools.chain.from_iterable(tok.tokens for tok in tokenized)))
+    del counts[None]  # the dropped tokens; the names left are one per token, in first-occurrence order
+    unigrams = dict(zip(counts, map(_COUNT_FLOATS.__getitem__, counts.values())))
 
     values = {f"forum.{thread.subforum.value}": 1.0}
     affirmation = load_affirmations()

@@ -319,6 +319,7 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
         raise ValueError(f"unknown optimizer {method!r}")
     space = _dataset_space(dataset)
     X, y = _to_arrays(dataset, space)
+    del dataset  # the fit reads only X and y, so rows no caller holds (cli's train) are freed here
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from forum_sentinel import cli
+from forum_sentinel import cli, model
 from forum_sentinel.cli import build_parser, load_feature_dump, main
 from forum_sentinel.corpus import filter_and_label, load_corpus
 from forum_sentinel.discourse import load_lexicon
@@ -181,6 +183,23 @@ class TestFeaturizeTrain:
         assert [path.name for path in out.iterdir()] == ["features.tsv"]
         assert (out / "features.tsv").read_text("utf-8") == "old"
 
+    def test_train_frees_the_dump_rows_before_the_fit(self, small_corpus, tmp_path, monkeypatch, capsys):
+        to_arrays, sample_weight, vectors, alive = model._to_arrays, model._sample_weight, [], []
+
+        def spy_to_arrays(dataset, space):
+            vectors.extend(weakref.ref(vec) for vec, _label in dataset)
+            return to_arrays(dataset, space)
+
+        def spy_sample_weight(y, config):  # the fit's first step after the matrix is built
+            alive.append(sum(ref() is not None for ref in vectors))
+            return sample_weight(y, config)
+
+        monkeypatch.setattr(model, "_to_arrays", spy_to_arrays)
+        monkeypatch.setattr(model, "_sample_weight", spy_sample_weight)
+        assert main(["featurize", "--corpus", str(small_corpus), "--out", str(tmp_path)]) == 0
+        assert main(["train", "--features-file", str(tmp_path / "features.tsv"), "--out", str(tmp_path)]) == 0
+        assert len(vectors) == 7 and alive == [0]
+
     def test_rows_share_one_float_per_value_text(self, tmp_path):
         path = tmp_path / "features.tsv"
         path.write_text("#space\tedm15\tn_posts\tn_url\nC1\tt1\tintervened\tn_posts:1.0\n"
@@ -204,6 +223,72 @@ def test_jobs_equivalence(command, filename, syn_corpus, tmp_path):
         assert main(command + ["--corpus", str(syn_corpus), "--jobs", jobs, "--out", str(out)]) == 0
         outputs.append((out / filename).read_bytes())
     assert outputs[0] == outputs[1]
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, "interrupt"])
+    def test_main_pauses_the_collector_and_restores_the_callers_setting(
+        self, code, enabled, small_corpus, tmp_path, monkeypatch, capsys
+    ):
+        ingest, collecting = cli.cmd_ingest, []
+
+        def command(args):
+            collecting.append(gc.isenabled())
+            if code == 3:
+                raise RuntimeError("failed")
+            if code == "interrupt":
+                raise KeyboardInterrupt
+            return ingest(args)
+
+        monkeypatch.setattr(cli, "cmd_ingest", command)
+        corpus = tmp_path / "missing.jsonl" if code == 2 else small_corpus
+        argv = ["ingest", "--bogus"] if code == 1 else ["ingest", "--corpus", str(corpus)]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert collecting == ([] if code == 1 else [False])
+
+    @pytest.mark.parametrize("commands", ["featurize-train", "eval-ccv"])
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(self, commands, tmp_path):
+        """With the collector paused, what a command leaves in reference cycles is never freed until it is
+        re-enabled; the commands leave only argparse's parser, the same on a corpus twice the size."""
+        def cyclic_garbage(argvs) -> int:
+            was, flags = gc.isenabled(), gc.get_debug()
+            gc.disable()
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                for argv in argvs:
+                    assert main(argv) == 0
+                gc.collect()
+                return len(gc.garbage)
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+                if was:
+                    gc.enable()
+
+        counts = []
+        for n in (20, 40):  # a seed of its own per corpus, so that no thread is in a cache already
+            corpus, out = tmp_path / f"c{n}.jsonl", tmp_path / f"o{n}"
+            generate(GenSpec(n_courses=3, threads_per_course=n, intervention_ratio=0.25, vocabulary_disjointness=0.5,
+                             discourse_signal_strength=0.6, seed=n + (commands == "eval-ccv")), corpus)
+            if commands == "eval-ccv":
+                argvs = [["eval", "--regime", "ccv", "--corpus", str(corpus), "--out", str(out)]]
+            else:
+                argvs = [["featurize", "--corpus", str(corpus), "--out", str(out)],
+                         ["train", "--features-file", str(out / "features.tsv"), "--out", str(out)]]
+            counts.append(cyclic_garbage(argvs))
+        assert counts[0] == counts[1]
 
 
 class TestEval:

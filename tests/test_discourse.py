@@ -6,7 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forum_sentinel import discourse, features
@@ -260,6 +260,11 @@ class TestTagThread:
                 assert t.surface != "as soon as"
 
 
+_LEXICON = load_lexicon()
+# the shipped surfaces' words, so texts hold connectives, with other words and the punctuation that cues one
+_WORDS = sorted({word for tokens in _LEXICON.entries for word in tokens} | {"We", "the", "plan", ",", ".", "?"})
+
+
 class TestTagImport:
     def test_round_trip_verbatim(self, tmp_path):
         thread = make_thread(["student", "student"], texts=["But why now", "If only"])
@@ -270,6 +275,16 @@ class TestTagImport:
         imported = load_tag_import(path)
         echoed = tag_thread(thread, imported)
         assert echoed == native
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join), min_size=1, max_size=4))
+    @example(texts=["But why now", "If only , then"])
+    def test_written_tags_read_back_and_write_the_same_lines(self, texts, tmp_path_factory):
+        thread = make_thread(["student"] * len(texts), texts=texts, labeled=False)
+        lines = format_tag_records(thread, tag_thread(thread, _LEXICON))
+        path = tmp_path_factory.mktemp("tags") / "tags.tsv"
+        path.write_text("\n".join(lines) + "\n", "utf-8")  # as the tag command writes them
+        assert format_tag_records(thread, tag_thread(thread, load_tag_import(path))) == lines
 
     def test_missing_post_is_empty(self, tmp_path):
         thread = make_thread(["student"], texts=["But why"])

@@ -801,3 +801,20 @@ def test_load_model_fuzz_raises_only_model_format_error(raw, tmp_path):
         load_model(tmp_path / "m.txt")
     except ModelFormatError:
         pass
+
+
+_weights = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(_weights, max_size=6), bias=_weights)
+@example(weights=[-0.0, 5e-324, -1.7976931348623157e308], bias=1.7976931348623157e308)
+def test_a_saved_model_reads_back_bit_for_bit_and_saves_the_same_bytes(weights, bias, tmp_path_factory):
+    space = make_space(len(weights))
+    tmp = tmp_path_factory.mktemp("model")
+    save_model(MaxentModel(dict(zip(space.names, weights)), bias, space, TrainConfig()), tmp / "m1.txt")
+    loaded = load_model(tmp / "m1.txt")
+    assert [w.hex() for w in loaded.weights.values()] == [w.hex() for w in weights]  # -0.0 keeps its sign
+    assert loaded.bias.hex() == bias.hex()
+    save_model(loaded, tmp / "m2.txt")
+    assert (tmp / "m2.txt").read_bytes() == (tmp / "m1.txt").read_bytes()
