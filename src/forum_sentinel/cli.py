@@ -181,15 +181,18 @@ def load_feature_dump(path: str | Path):
     """Read a featurize dump back into (space, [(course, thread, vector, label)])."""
     space = None
     floats = Shared(float)  # one float per value text across all rows
+    faulty: set[str] = set()  # cell texts whose name is not in the space or whose value is not finite
 
     def cell(text: str) -> tuple[str, float]:  # the name is one string per name for the run
         name, _, value = text.rpartition(":")
         number = floats[value]
-        if math.isfinite(number) and not WRITTEN["float"].fullmatch(value):  # FeatureVector names a non-finite one
+        if math.isfinite(number) and not WRITTEN["float"].fullmatch(value):
             raise ValueError(f"the value of {name!r} is {value!r}, not a number in the form featurize writes")
+        if name not in space.index or not math.isfinite(number):  # FeatureVector's check names the fault
+            faulty.add(text)
         return sys.intern(name), number
 
-    cells = Shared(cell)  # each distinct cell text read once
+    cells = Shared(cell)  # each distinct cell text read and checked once
 
     def parse(line: str):
         nonlocal space
@@ -206,7 +209,8 @@ def load_feature_dump(path: str | Path):
         if len(values) < len(texts):
             names = [text.rpartition(":")[0] for text in texts]
             raise ValueError(f"duplicate feature {next(n for n in names if names.count(n) > 1)!r} in the row")
-        return course_id, thread_id, FeatureVector(values, space), int(label == "intervened")
+        make = FeatureVector if faulty and not faulty.isdisjoint(texts) else FeatureVector.trusted
+        return course_id, thread_id, make(values, space), int(label == "intervened")
 
     def key(row) -> str | None:
         return None if row is None else f"row for thread_id {row[1]!r} in course {row[0]!r}"

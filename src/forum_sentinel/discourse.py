@@ -24,13 +24,13 @@ import functools
 import itertools
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
 from .corpus import WRITTEN, InputError, Thread, parse_lines
-from .textprep import TokenizedPost, prepare_text, prepare_thread
+from .textprep import Shared, TokenizedPost, prepare_text, prepare_thread
 
 DEFAULT_TAU = 0.5
 MAX_SURFACE_TOKENS = 4
@@ -88,6 +88,14 @@ class TaggedConnective:
 @dataclass(frozen=True, slots=True)
 class PostDiscourse:
     tags: tuple[TaggedConnective, ...]
+    # each tag's sense ordinal, in tag order: what the discourse features count (read once per tagging)
+    senses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # a tuple of a list, not of a generator, is never resized (see features._sense_runs)
+        object.__setattr__(self, "senses", _RUNS[tuple([tag.sense._value_ for tag in self.tags])])
+
+
+_RUNS = Shared(lambda run: run)  # one tuple per distinct run of sense ordinals
 
 
 _UNTAGGED = PostDiscourse(tags=())  # shared by every post without a connective

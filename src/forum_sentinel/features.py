@@ -16,7 +16,12 @@ by ``uni.<token>`` name. ``build_vocabulary`` reads the block's names; a row
 whose names all lie in the fold's space, as every training row's do, copies
 the block, and any other row keeps the names in the space. The cached values
 are shared and never mutated. A lexicon remembers each thread it tagged (see
-``discourse``), so each thread is matched only once.
+``discourse``), so each thread is matched only once. Apart from the
+``pdtb.abs`` values, a discourse block depends only on the thread's runs of
+sense ordinals, one run per tagged post, so each distinct tuple of runs is
+counted once. A row needs no ``FeatureVector`` check: every name is in the
+space (unigrams pass the subset test or are filtered by the space), and every
+value is a count or a ratio of counts to a positive count.
 
 The 25 discourse feature names, in frozen order: ``pdtb.total``; then for
 each sense (temporal, contingency, comparison, expansion) the pair
@@ -111,13 +116,19 @@ class FeatureVector:
     space: FeatureSpace
 
     def __post_init__(self):
-        if self.values.keys() <= self.space.index.keys() and all(map(math.isfinite, self.values.values())):
-            return
         for name, value in self.values.items():  # name the first offending feature
             if name not in self.space:
                 raise ValueError(f"feature {name!r} not in space {self.space.provenance}")
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value for feature {name!r}")
+
+    @classmethod
+    def trusted(cls, values: dict[str, float], space: FeatureSpace) -> FeatureVector:
+        """A vector whose values its maker knows pass ``__post_init__``'s check, made without it."""
+        vec = object.__new__(cls)
+        vec.values = values
+        vec.space = space
+        return vec
 
     def get(self, name: str) -> float:
         return self.values.get(name, 0.0)
@@ -212,39 +223,54 @@ def build_space(config: str, vocabulary: Vocabulary | None = None) -> FeatureSpa
     return FeatureSpace(names, config)
 
 
-def _pdtb_values(taggings: list[PostDiscourse], thread_token_length: int) -> dict[str, float]:
-    if not any(disc.tags for disc in taggings):
-        return {}
+_SENSE_RUN = operator.attrgetter("senses")
+_TOKENS = operator.attrgetter("tokens")
+
+
+def _sense_runs(taggings: list[PostDiscourse]) -> list[tuple[int, ...]]:
+    """Each tagged post's sense ordinals, in tag order; pairs never cross posts. A list: a tuple built from an
+    iterator is resized, and each resized tuple stays on the interpreter's free list, which then holds ~0.2 MB."""
+    return [*filter(None, map(_SENSE_RUN, taggings))]
+
+
+def _block_shape(runs: tuple[tuple[int, ...], ...]) -> tuple[dict[str, float], list[tuple[str, int]]]:
+    """The discourse block of the sense runs with each abs value 0.0, and each abs name with its count."""
     sense_counts = [0] * len(SENSES)
     pair_counts = [0] * len(_PAIR_NAMES)
-    for disc in taggings:
-        prev = None  # pairs never cross posts
-        for tag in disc.tags:
-            ordinal = tag.sense.value
+    for run in runs:
+        for ordinal in run:
             sense_counts[ordinal] += 1
-            if prev is not None:
-                pair_counts[len(SENSES) * prev + ordinal] += 1
-            prev = ordinal
-    total = sum(sense_counts)
-    if total > 0 and thread_token_length <= 0:
-        raise ValueError("thread_token_length must be positive when connectives are tagged")
-    total_pairs = sum(pair_counts)
-    values: dict[str, float] = {}
-    if total:
-        values["pdtb.total"] = float(total)
+        for first, second in zip(run, run[1:]):
+            pair_counts[len(SENSES) * first + second] += 1
+    total, total_pairs = sum(sense_counts), sum(pair_counts)
+    block, abs_counts = {"pdtb.total": float(total)}, []
     for (abs_name, rel_name), count in zip(_SENSE_NAMES, sense_counts):
         if count:
-            values[abs_name] = count / thread_token_length
-            values[rel_name] = count / total
-    for name, count in zip(_PAIR_NAMES, pair_counts):
-        if count:
-            values[name] = count / total_pairs
+            block[abs_name], block[rel_name] = 0.0, count / total  # abs is count / thread length, set per row
+            abs_counts.append((abs_name, count))
+    block.update((name, count / total_pairs) for name, count in zip(_PAIR_NAMES, pair_counts) if count)
+    return block, abs_counts
+
+
+_BLOCK_SHAPES = Shared(_block_shape)  # one per distinct tuple of sense runs
+
+
+def _add_pdtb_values(values: dict[str, float], runs: list[tuple[int, ...]], thread_token_length: int) -> dict:
+    """``values`` with the discourse block of a thread's sense runs added (nothing without a run)."""
+    if runs:
+        if thread_token_length <= 0:
+            raise ValueError("thread_token_length must be positive when connectives are tagged")
+        block, abs_counts = _BLOCK_SHAPES[tuple(runs)]
+        values.update(block)
+        for name, count in abs_counts:  # overwriting a key keeps its place
+            values[name] = count / thread_token_length
     return values
 
 
 def pdtb_features(taggings: list[PostDiscourse], thread_token_length: int) -> FeatureVector:
     """The 25-dim discourse block for one thread's tagging."""
-    return FeatureVector(values=_pdtb_values(taggings, thread_token_length), space=build_space("pdtb"))
+    return FeatureVector(values=_add_pdtb_values({}, _sense_runs(taggings), thread_token_length),
+                         space=build_space("pdtb"))
 
 
 def vectorize(threads: list[Thread], space: FeatureSpace,
@@ -254,6 +280,7 @@ def vectorize(threads: list[Thread], space: FeatureSpace,
     needs_lexical = space.config in LEXICAL_CONFIGS
     needs_discourse = space.config in DISCOURSE_CONFIGS
     in_space = space.index.keys()
+    row = FeatureVector.trusted
 
     out: list[tuple[FeatureVector, int]] = []
     for thread in threads:
@@ -264,13 +291,12 @@ def vectorize(threads: list[Thread], space: FeatureSpace,
             unigrams, structure = _lexical_profile(thread)
             # a training row's unigrams all lie in its vocabulary: its row block is copied whole
             if unigrams.keys() <= in_space:
-                values = unigrams.copy()
+                values = {**unigrams, **structure}
             else:
-                values = {name: count for name, count in unigrams.items() if name in in_space}
-            values.update(structure)
+                values = {**{name: count for name, count in unigrams.items() if name in in_space}, **structure}
         if needs_discourse:  # prepared before tagging, so a cold preparation counts as text prep
-            n_tokens = sum(map(operator.attrgetter("n_tokens"), prepare_thread(thread)))
-            values.update(_pdtb_values(tag_thread(thread, tags), n_tokens))
-        label = 1 if thread.label is Label.INTERVENED else 0
-        out.append((FeatureVector(values=values, space=space), label))
+            prepared = prepare_thread(thread)
+            if runs := _sense_runs(tag_thread(thread, tags)):
+                _add_pdtb_values(values, runs, sum(map(len, map(_TOKENS, prepared))))
+        out.append((row(values, space), 1 if thread.label is Label.INTERVENED else 0))
     return out

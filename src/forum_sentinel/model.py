@@ -7,7 +7,9 @@ counteracts the heavy skew toward non-intervened threads. Training is
 deterministic. The default fit is trust-region Newton with Steihaug's conjugate
 gradient on the exact Hessian-vector product, scipy's trust-ncg step for step;
 L-BFGS-B and a backtracking gradient descent are cross-checks, and with
-lambda>0 all three must agree on the unique optimum.
+lambda>0 all three must agree on the unique optimum. CG reuses r·r from the
+step before and updates its direction in place, with scipy's bits; ``_dot``
+keeps every dot product over the weights free of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def _dataset_space(dataset: Dataset) -> FeatureSpace:
         raise ValueError("empty dataset")
     space = dataset[0][0].space
     for vec, _y in dataset:
-        if vec.space != space:
+        if vec.space is not space and vec.space != space:
             raise ValueError("dataset mixes feature spaces")
     return space
 
@@ -137,32 +139,32 @@ def _objective(X: sp.csr_matrix, y: np.ndarray, sample_weight: np.ndarray, lam: 
     d = X.shape[1]
     x_product, xt_product = _kernel_product(X), _kernel_product(X.T.tocsr())
 
-    def margin(w: np.ndarray, b: float) -> np.ndarray:
-        z = x_product(w)
-        z += b
-        return z
-
     def back(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(Xᵀu + lam·v, Σu) in one array, the gradient's or the Hessian product's shape."""
         out = np.zeros(d + 1)
-        xt_product(u, out[:-1])
-        out[:-1] += lam * v
-        out[-1] = u.sum()
+        head = xt_product(u, out[:-1])
+        head += lam * v
+        out[-1] = np.add.reduce(u)  # u.sum() without its Python-level wrapper
         return out
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         w = theta[:-1]
-        z = margin(w, theta[-1])
+        z = x_product(w)
+        z += theta[-1]
         # log(1 + e^z) - y z, elementwise-stable
         nll = np.logaddexp(0.0, z) - y * z
         # numpy's pairwise sum, not BLAS ddot: a threaded ddot's bits depend on the thread
         # count, and einsum's coarser sum left trust-ncg short of tol on 10k-row fits
-        loss = float(np.sum(sample_weight * nll) + 0.5 * lam * (w @ w))
+        loss = float(np.sum(sample_weight * nll) + 0.5 * lam * _dot(w, w))
         p = expit(z)
         return loss, back(sample_weight * (p - y), w), sample_weight * p * (1.0 - p)
 
     def hessp(curvature: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return back(curvature * margin(v[:-1], v[-1]), v[:-1])
+        w = v[:-1]
+        u = x_product(w)
+        u += v[-1]
+        u *= curvature  # curvature times the margin, as the product commutes
+        return back(u, w)
 
     return fun, hessp
 
@@ -186,6 +188,16 @@ _STOPS = ("Optimization terminated successfully.", "Maximum number of iterations
           "A bad approximation caused failure to predict improvement.")  # trust-ncg's, by status
 
 
+_DOT_CHUNK = 8192  # OpenBLAS threads ddot above 10,000 elements, and a threaded sum rounds by thread count
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a·b as ddots of at most ``_DOT_CHUNK`` elements summed left to right: one ``np.dot`` up to that length."""
+    if len(a) <= _DOT_CHUNK:
+        return np.dot(a, b)
+    return sum(np.dot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK]) for i in range(0, len(a), _DOT_CHUNK))
+
+
 def _norm(v: np.ndarray) -> float:
     """‖v‖₂ by BLAS dnrm2, as scipy.linalg.norm takes it; a NaN or inf in v raises, as there."""
     norm = _nrm2(v)
@@ -196,7 +208,7 @@ def _norm(v: np.ndarray) -> float:
 
 def _to_boundary(z: np.ndarray, d: np.ndarray, radius: float) -> list:
     """Both t with ‖z + t·d‖ = radius, low then high, in scipy's rounding-stable form."""
-    a, b, c = np.dot(d, d), 2 * np.dot(z, d), np.dot(z, z) - radius**2
+    a, b, c = _dot(d, d), 2 * _dot(z, d), _dot(z, z) - radius**2
     aux = b + math.copysign(math.sqrt(b * b - 4 * a * c), b)
     return sorted([-aux / (2 * a), -2 * c / aux])
 
@@ -212,31 +224,34 @@ def _trust_ncg(fun, x0, *, hessp, maxiter, gtol, **_unused):
 
     def curve(v):  # (Hv, v·Hv) at x; CG never ends once that curvature overflows, so it raises
         hv = hessp(curvature, v)
-        if not math.isfinite(vhv := np.dot(v, hv)):
+        if not math.isfinite(vhv := _dot(v, hv)):
             raise InputError(_OVERFLOW)
         return hv, vhv
 
     def predicted(p):
-        return f + np.dot(g, p) + 0.5 * curve(p)[1]
+        return f + _dot(g, p) + 0.5 * curve(p)[1]
 
     def steihaug():
         tolerance = min(0.5, math.sqrt(g_norm)) * g_norm
         z, r, d = np.zeros_like(g), g, -g
+        r_squared = _dot(r, r)
         while True:
             bd, dbd = curve(d)
             if dbd <= 0:  # nonpositive curvature: the better of the two boundary points
                 pa, pb = (z + t * d for t in _to_boundary(z, d, radius))
                 return (pa if predicted(pa) < predicted(pb) else pb), True
-            r_squared = np.dot(r, r)
             alpha = r_squared / dbd
             z_next = z + alpha * d
             if _norm(z_next) >= radius:
                 return z + _to_boundary(z, d, radius)[1] * d, True
             r_next = r + alpha * bd
-            r_next_squared = np.dot(r_next, r_next)
+            r_next_squared = _dot(r_next, r_next)
             if math.sqrt(r_next_squared) < tolerance:
                 return z_next, False
-            z, r, d = z_next, r_next, -r_next + (r_next_squared / r_squared) * d
+            # -r_next + beta·d in place: d·beta − r_next rounds as that sum does; r·r carries over
+            d *= r_next_squared / r_squared
+            d -= r_next
+            z, r, r_squared = z_next, r_next, r_next_squared
 
     with np.errstate(over="ignore", invalid="ignore"):  # the checks report an overflow, not numpy
         while g_norm >= gtol:
@@ -294,7 +309,7 @@ def _optimize_gd(fun, _hessp, theta0, max_iterations, tol):
     it = 0
     while it < max_iterations and np.max(np.abs(grad)) > tol:
         direction = -grad
-        slope = grad @ direction
+        slope = _dot(grad, direction)
         while True:
             candidate = theta + step * direction
             new_loss, new_grad, _curvature = fun(candidate)
@@ -337,7 +352,7 @@ def train(dataset: Dataset, config: TrainConfig, method: str = "newton") -> Maxe
         "%s fit %s after %d of max_iterations=%d (grad inf-norm %.3g %s tol %.3g), %d dims",
         method, status, n_iter, config.max_iterations, grad_inf, cmp, config.convergence_tol, X.shape[1],
     )
-    weights = {name: float(value) for name, value in zip(space.names, theta[:-1])}
+    weights = dict(zip(space.names, theta[:-1].tolist()))
     return MaxentModel(
         weights=weights,
         bias=float(theta[-1]),

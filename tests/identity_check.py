@@ -6,8 +6,10 @@
 The set: four syngen corpora, written once by this checkout's syngen and read by every side. Three are shaped
 like the benchmark's workloads, at seed 3 (featurize-train 14 x 200, ccv-eplusp 14 x 60, indomain-pdtb
 5 x 120); the fourth (3 x 20) has a course with no intervened thread, so its ccv fold has no positive and its
-in-domain splits are degenerate. On each corpus: ingest; tag; and for each of edm15, pdtb and eplusp,
-featurize, train on that dump, and eval --emit records in both regimes. The files are every command's output
+in-domain splits are degenerate. On each corpus: ingest; tag; for each of edm15, pdtb and eplusp,
+featurize, train on that dump, and eval --emit records in both regimes; and for pdtb and eplusp, eval in both
+regimes again with --tags reading the tags.tsv that tag wrote, so the import path's discourse block is checked
+too. Both sides of --against run this checkout's command list. The files are every command's output
 files and, per command, a ``.stdout`` file with its stdout, stderr and exit code (the output and corpus
 directories spelled OUT and CORPORA). Each command runs in a fresh process.
 
@@ -63,6 +65,12 @@ def commands(corpora: Path, out: Path):
             for regime in ("ccv", "in-domain"):
                 yield f"{name}.{regime}", ["eval", "--corpus", corpus, "--features", config, "--regime", regime,
                                            "--emit", "records", "--out", str(out / f"{name}.{regime}")]
+        for config in CONFIGS[1:]:  # the configs with a discourse block, from the tags written above
+            for regime in ("ccv", "in-domain"):
+                name = f"{label}.{config}.tags.{regime}"
+                yield name, ["eval", "--corpus", corpus, "--features", config, "--regime", regime,
+                             "--tags", str(out / f"{label}.tag" / "tags.tsv"), "--emit", "records",
+                             "--out", str(out / name)]
 
 
 def run_set(tree: Path, corpora: Path, out: Path) -> dict[str, str]:

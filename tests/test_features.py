@@ -4,19 +4,26 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forum_sentinel.discourse import SENSES, PostDiscourse, SenseTag, TaggedConnective, load_lexicon, tag_thread
 from forum_sentinel.features import (
+    FEATURE_CONFIGS,
+    LEXICAL_CONFIGS,
     PDTB_FEATURE_NAMES,
     STRUCTURAL_NAMES,
     FeatureVector,
     build_space,
+    _add_pdtb_values,
     _lexical_profile,
+    _sense_runs,
     build_vocabulary,
     pdtb_features,
     vectorize,
 )
-from forum_sentinel.corpus import filter_and_label
+from forum_sentinel.corpus import Label, by_course, filter_and_label
+from forum_sentinel.evaluation import stratified_kfold
 from forum_sentinel.syngen import GenSpec, generate_threads
 from forum_sentinel.textprep import content_filter, prepare_thread
 
@@ -336,3 +343,79 @@ def test_rows_match_a_token_by_token_reference(config):
     assert dict(_reference_rows(train[:1], config, vocabulary, tags)[0])["uni.gradient"] == 300.0
     assert not {"newword", "unseen"} & vocabulary.index.keys()
     assert not any(name.startswith("uni.") for name, _value in _reference_rows(test[1:2], config, vocabulary, tags)[0])
+
+
+def _reference_pdtb_values(taggings, thread_token_length):
+    """The discourse block as a plain loop over every tag, reading each sense's ordinal by ``value``."""
+    if not any(disc.tags for disc in taggings):
+        return {}
+    sense_counts = [0] * len(SENSES)
+    pair_counts = [0] * len(SENSES) ** 2
+    for disc in taggings:
+        prev = None  # pairs never cross posts
+        for tag in disc.tags:
+            ordinal = tag.sense.value
+            sense_counts[ordinal] += 1
+            if prev is not None:
+                pair_counts[len(SENSES) * prev + ordinal] += 1
+            prev = ordinal
+    total = sum(sense_counts)
+    if total > 0 and thread_token_length <= 0:
+        raise ValueError("thread_token_length must be positive when connectives are tagged")
+    total_pairs = sum(pair_counts)
+    values = {}
+    if total:
+        values["pdtb.total"] = float(total)
+    for (abs_name, rel_name), count in zip(zip(PDTB_FEATURE_NAMES[1:9:2], PDTB_FEATURE_NAMES[2:9:2]), sense_counts):
+        if count:
+            values[abs_name] = count / thread_token_length
+            values[rel_name] = count / total
+    for name, count in zip(PDTB_FEATURE_NAMES[9:], pair_counts):
+        if count:
+            values[name] = count / total_pairs
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(SENSES), max_size=5), max_size=6), st.integers(0, 50))
+@example([[SenseTag.EXPANSION, SenseTag.CONTINGENCY, SenseTag.EXPANSION]], 100)
+@example([[], [SenseTag.TEMPORAL]], 0)
+def test_discourse_block_matches_a_tag_by_tag_reference(posts, thread_token_length):
+    taggings = discourse_of(*posts)
+    try:
+        expected = _reference_pdtb_values(taggings, thread_token_length)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _add_pdtb_values({}, _sense_runs(taggings), thread_token_length)
+        return
+    got = _add_pdtb_values({}, _sense_runs(taggings), thread_token_length)
+    # the same names in the same order, and the same float bits
+    assert [(name, value.hex()) for name, value in got.items()] == [
+        (name, value.hex()) for name, value in expected.items()]
+    assert all(type(value) is float for value in got.values())
+
+
+def test_vectorized_rows_pass_the_public_check():
+    # the third course has no intervened thread, so its ccv fold and in-domain splits are degenerate
+    spec = GenSpec(n_courses=3, threads_per_course=20, intervention_ratio=[0.25, 0.1, 0.0],
+                   vocabulary_disjointness=0.5, discourse_signal_strength=0.6, seed=3)
+    threads = filter_and_label(generate_threads(spec))
+    grouped = by_course(threads)
+    assert not any(t.label is Label.INTERVENED for t in list(grouped.values())[-1])
+    splits = [([t for other, ts in grouped.items() if other != cid for t in ts], test) for cid, test in grouped.items()]
+    for course_threads in grouped.values():
+        folds = stratified_kfold(course_threads, k=5, seed=0)
+        splits += [([t for j, fold in enumerate(folds) if j != i for t in fold], test)
+                   for i, test in enumerate(folds) if test]
+    lexicon, out_of_vocabulary = load_lexicon(), 0
+    for config in FEATURE_CONFIGS:
+        for train, test in splits:
+            vocabulary = build_vocabulary(train) if config in LEXICAL_CONFIGS else None
+            space = build_space(config, vocabulary)
+            for threads_of_side in (train, test):
+                for thread, (vec, _label) in zip(threads_of_side, vectorize(threads_of_side, space, lexicon)):
+                    assert type(vec) is FeatureVector and vec.space is space
+                    assert FeatureVector(vec.values, vec.space) == vec  # the check passes, and nothing differs
+                    if vocabulary is not None and not _lexical_profile(thread)[0].keys() <= space.index.keys():
+                        out_of_vocabulary += 1
+    assert out_of_vocabulary  # test rows whose out-of-vocabulary tokens were dropped

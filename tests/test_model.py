@@ -27,7 +27,9 @@ from forum_sentinel.model import (
     MaxentModel,
     ModelFormatError,
     TrainConfig,
+    _DOT_CHUNK,
     _OPTIMIZERS,
+    _dot,
     _kernel_product,
     _objective,
     _optimize_newton,
@@ -275,10 +277,21 @@ class TestMatrixAndObjectiveBits:
         with pytest.raises(ValueError, match="shape"):
             _kernel_product(X)(v, np.zeros(n + 1))
 
+    @staticmethod
+    def _at_one_and_default_blas_threads(script: str) -> list[str]:
+        """The stdout of ``script`` run in a child at OPENBLAS_NUM_THREADS=1 and in one at the default.
+        OpenBLAS threads a dot product above 10,000 elements, and a threaded sum rounds differently;
+        on a one-core machine both children sum alike either way, so there the check passes regardless."""
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(resources.files("forum_sentinel").parent)
+        return [
+            subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True, text=True,
+                           timeout=120, check=True).stdout
+            for child_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
+        ]
+
     def test_loss_bits_do_not_depend_on_blas_threads(self):
-        # OpenBLAS threads a dot product above 10,000 elements, and a threaded sum
-        # rounds differently; on one core both children sum alike either way
-        script = (
+        losses = self._at_one_and_default_blas_threads(
             "import numpy as np, scipy.sparse as sp\n"
             "from forum_sentinel.model import _objective\n"
             "rng = np.random.default_rng(3)\n"
@@ -287,14 +300,33 @@ class TestMatrixAndObjectiveBits:
             "fun, _hessp = _objective(X, y, np.where(y == 1.0, 2.3, 1.0), 1e-4)\n"
             "print(repr(fun(rng.normal(size=41))[0]))\n"
         )
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = str(resources.files("forum_sentinel").parent)
-        losses = [
-            subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True, text=True,
-                           timeout=120, check=True).stdout
-            for child_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
-        ]
         assert losses[0] == losses[1] and losses[0].strip()
+
+    def test_fit_bits_do_not_depend_on_blas_threads(self):
+        # 30,001 parameters: every dot product of the loop runs over more than OpenBLAS's threading width
+        weights = self._at_one_and_default_blas_threads(
+            "import hashlib, numpy as np, scipy.sparse as sp\n"
+            "from forum_sentinel.model import _objective, _optimize_newton\n"
+            "rng = np.random.default_rng(5)\n"
+            "X = sp.random(6_000, 30_000, density=0.001, random_state=rng, format='csr')\n"
+            "y = (rng.random(6_000) < 0.3).astype(float)\n"
+            "fun, hessp = _objective(X, y, np.where(y == 1.0, 2.3, 1.0), 1e-4)\n"
+            "theta, nit, _reason, _grad = _optimize_newton(fun, hessp, np.zeros(30_001), 500, 1e-6)\n"
+            "print(nit, hashlib.sha256(theta.tobytes()).hexdigest())\n"
+        )
+        assert weights[0] == weights[1] and weights[0].strip()
+
+    def test_dot_sums_chunks_left_to_right(self):
+        rng = np.random.default_rng(11)
+        for n in (0, 1, _DOT_CHUNK, _DOT_CHUNK + 1, 3 * _DOT_CHUNK + 5):
+            a, b = rng.normal(size=n), rng.normal(size=n)
+            if n <= _DOT_CHUNK:
+                assert _dot(a, b) == np.dot(a, b)
+            else:
+                total = 0.0
+                for i in range(0, n, _DOT_CHUNK):
+                    total += np.dot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK])
+                assert _dot(a, b) == total
 
 
 def small_problem(seed: int, n: int, d: int, density: float, scale: float, start: float, lam: float):
